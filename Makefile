@@ -1,6 +1,6 @@
 # Build / verification entry points. `make verify` is the CI gate:
-# vet, build, and the full test suite under the race detector (the
-# parallel experiment runner executes 8-wide inside it).
+# gofmt, vet, build, and the full test suite under the race detector
+# (the parallel experiment runner executes 8-wide inside it).
 
 GO ?= go
 
@@ -20,6 +20,8 @@ race:
 	$(GO) test -race ./internal/runner/... ./cmd/octl/...
 
 verify:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./... && $(GO) build ./... && $(GO) test -race ./...
 
 # Full benchmark sweep (kernel, queueing hot path, fleet control loop,

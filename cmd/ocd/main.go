@@ -27,11 +27,6 @@
 //	-j N          GOMAXPROCS override (0 = runtime default); also grows
 //	              the shared worker budget sharded stepping draws from
 //	-seed N       override the fleet trace's RNG seed
-//	-publish-max-latency d
-//	              group-commit window for snapshot publication: writes
-//	              arriving within d of the last publish coalesce into
-//	              one, published at latest d after the first (0 = every
-//	              write publishes immediately)
 //	-timeout d    graceful-shutdown drain budget (0 = 5s)
 //	-metrics f    write the final telemetry snapshot as JSON to f on exit
 //	-pprof addr   serve net/http/pprof on addr
@@ -69,12 +64,11 @@ func main() {
 type options struct {
 	cli.Common // -j, -seed, -timeout, -metrics, -pprof
 
-	listen        string
-	fleet         string
-	mode          string
-	scale         float64
-	shards        int
-	publishWindow time.Duration
+	listen string
+	fleet  string
+	mode   string
+	scale  float64
+	shards int
 }
 
 func parseArgs(args []string) (options, error) {
@@ -86,13 +80,8 @@ func parseArgs(args []string) (options, error) {
 	fs.StringVar(&c.mode, "mode", "stepped", `time mode: "stepped" (POST /v1/step) or "scaled" (wall clock)`)
 	fs.Float64Var(&c.scale, "scale", 300, "scaled mode: simulated seconds per wall second")
 	fs.IntVar(&c.shards, "shards", 0, "fleet simulation shards stepped concurrently (0 = serial)")
-	fs.DurationVar(&c.publishWindow, "publish-max-latency", 0,
-		"write-plane group-commit window; 0 publishes a snapshot after every write")
 	if _, err := cli.ParseInterleaved(fs, args); err != nil {
 		return c, err
-	}
-	if c.publishWindow < 0 {
-		return c, errors.New("-publish-max-latency must be non-negative")
 	}
 	if c.mode != ocd.ModeStepped && c.mode != ocd.ModeScaled {
 		return c, fmt.Errorf("-mode must be %q or %q", ocd.ModeStepped, ocd.ModeScaled)
@@ -201,7 +190,6 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "ocd: %v\n", err)
 		return 1
 	}
-	d.SetPublishMaxLatency(c.publishWindow)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

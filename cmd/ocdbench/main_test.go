@@ -177,14 +177,14 @@ func TestParseMixPresets(t *testing.T) {
 
 // TestOcdbenchWriteMixSmoke drives the write preset end to end against
 // a self-hosted fleet — placers, removers and overclockers through the
-// real client — with a group-commit window set, and requires an
-// error-free run reporting all four endpoints.
+// real client — and requires an error-free run reporting all four
+// endpoints.
 func TestOcdbenchWriteMixSmoke(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{
 		"-servers", "64", "-workers", "2", "-duration", "150ms",
 		"-step-batch", "2", "-step-period", "2ms",
-		"-mix", "write", "-publish-max-latency", "1ms",
+		"-mix", "write",
 		"-json",
 	}, &out, &errb)
 	if code != 0 {

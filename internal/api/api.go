@@ -153,7 +153,8 @@ type OverclockDecision struct {
 }
 
 // StepRequest advances the simulation deterministically: Steps control
-// periods (default 1). Only valid in stepped time mode.
+// periods (omitted or 0 means 1; negative is rejected). Only valid in
+// stepped time mode.
 type StepRequest struct {
 	Vers  string `json:"version,omitempty"`
 	Steps int    `json:"steps,omitempty"`

@@ -29,9 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,28 +78,6 @@ type Daemon struct {
 	// chains off its predecessor through the snapshot's chunked COW
 	// columns, so a publish costs O(what changed), not O(fleet).
 	snap atomic.Pointer[fleetView]
-	// lockedReads routes the read endpoints through mu and the live
-	// Sim instead of the snapshot — the pre-snapshot serving path,
-	// kept as the differential-test oracle and the benchmark baseline.
-	lockedReads bool
-	// fullCopyPublish breaks the view chain so every publish
-	// re-materializes the whole fleet — the pre-COW publication path,
-	// kept live as the publish benchmarks' baseline arm.
-	fullCopyPublish bool
-
-	// Group commit (write-plane publish coalescing). publishWindow = 0
-	// (the default) publishes after every write. With a positive
-	// window, a write more than one window after the last publish
-	// publishes immediately (a lone write is never delayed), while
-	// writes arriving inside the window mark the view pending and arm
-	// one trailing-edge flush timer — a burst of B writes costs one
-	// leading publish plus one trailing publish instead of B, and no
-	// write waits longer than the window to become visible. All fields
-	// are guarded by mu; the timer callback re-acquires it.
-	publishWindow time.Duration
-	lastPublish   time.Time
-	pendingView   bool
-	flushArmed    bool
 
 	// scratch pools the per-request read-plane state (decode buffer,
 	// response slices, pooled encoder); renderers pools the /metrics
@@ -134,72 +110,7 @@ func New(cfg dcsim.Config, mode string, reg *telemetry.Registry) (*Daemon, error
 	d.scratch.New = func() any { return newServScratch() }
 	d.renderers.New = func() any { return telemetry.NewPromRenderer(reg, "ocd") }
 	d.publishLocked()
-	d.lastPublish = time.Now()
 	return d, nil
-}
-
-// SetPublishMaxLatency sets the group-commit window: the longest a
-// write may stay unpublished while later writes coalesce into one
-// snapshot publication. Zero (the default) publishes after every
-// write. Call before the daemon starts serving.
-func (d *Daemon) SetPublishMaxLatency(w time.Duration) {
-	if w < 0 {
-		w = 0
-	}
-	d.publishWindow = w
-}
-
-// SetFullCopyPublish toggles full re-materialization on every publish
-// — the pre-COW publication cost, kept callable as the live baseline
-// for the publish benchmarks and A/B load tests. Call before the
-// daemon starts serving.
-func (d *Daemon) SetFullCopyPublish(on bool) { d.fullCopyPublish = on }
-
-// publishNowLocked publishes unconditionally, absorbing any pending
-// coalesced write. Caller must hold d.mu.
-func (d *Daemon) publishNowLocked() {
-	d.pendingView = false
-	d.lastPublish = time.Now()
-	d.publishLocked()
-}
-
-// publishAfterWriteLocked is the group-commit gate every mutating
-// entrant publishes through. Caller must hold d.mu.
-func (d *Daemon) publishAfterWriteLocked() {
-	if d.publishWindow <= 0 {
-		d.publishLocked()
-		return
-	}
-	now := time.Now()
-	if now.Sub(d.lastPublish) >= d.publishWindow {
-		// Leading edge: first write after an idle stretch publishes
-		// immediately.
-		d.pendingView = false
-		d.lastPublish = now
-		d.publishLocked()
-		return
-	}
-	// Inside the window: coalesce, and make sure exactly one
-	// trailing-edge flush is armed so the latest write is published
-	// within the max-latency bound even if no further write arrives.
-	d.pendingView = true
-	if !d.flushArmed {
-		d.flushArmed = true
-		delay := d.publishWindow - now.Sub(d.lastPublish)
-		time.AfterFunc(delay, d.flushPending)
-	}
-}
-
-// flushPending is the trailing-edge timer callback: publish the
-// coalesced writes, if a step or later leading-edge publish has not
-// already absorbed them.
-func (d *Daemon) flushPending() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.flushArmed = false
-	if d.pendingView {
-		d.publishNowLocked()
-	}
 }
 
 // RunScaled drives the control loop from the wall clock. The target
@@ -230,7 +141,7 @@ func (d *Daemon) RunScaled(ctx context.Context, scale float64) {
 		}
 		now := d.sim.Now()
 		if steps > 0 {
-			d.publishNowLocked()
+			d.publishLocked()
 		}
 		d.mu.Unlock()
 		drift.Set(base + time.Since(start).Seconds()*scale - now)
@@ -321,15 +232,13 @@ func post[Req any, Resp any](d *Daemon, vers func(Req) string, fn func(context.C
 // locked adapts a handler that needs the whole daemon lock for its
 // duration, republishing the read snapshot before releasing it — even
 // a denied overclock refreshes power caches as a side effect, so every
-// locked entrant republishes (through the group-commit gate: with a
-// publish window set, bursts coalesce into one publication per
-// window).
+// locked entrant republishes.
 func locked[Req any, Resp any](d *Daemon, fn func(Req) (Resp, error)) func(context.Context, Req) (Resp, error) {
 	return func(_ context.Context, req Req) (Resp, error) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		resp, err := fn(req)
-		d.publishAfterWriteLocked()
+		d.publishLocked()
 		return resp, err
 	}
 }
@@ -344,12 +253,21 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, api.ErrorResponse{Vers: api.Version, Error: msg})
 }
 
-// classFromSpec resolves a VMSpec's class tag, sharing the validation
-// (and its exact error messages) between the locked write path and the
-// snapshot read path.
+// classFromSpec validates a VMSpec and resolves its class tag, sharing
+// the validation (and its exact error messages) between the write
+// path, the snapshot read path and the locked-read test oracle.
 func classFromSpec(s *api.VMSpec) (vm.Class, error) {
 	if s.VCores <= 0 || s.MemoryGB <= 0 {
 		return 0, errf(http.StatusBadRequest, "vm %d: need positive vcores and memory", s.ID)
+	}
+	// Both are fractions. avg_util feeds the governor's Equation 1
+	// demand estimate, so an out-of-range value would buy (or dodge) an
+	// overclock grant.
+	if !(s.AvgUtil >= 0 && s.AvgUtil <= 1) {
+		return 0, errf(http.StatusBadRequest, "vm %d: avg_util %g outside [0, 1]", s.ID, s.AvgUtil)
+	}
+	if !(s.ScalableFraction >= 0 && s.ScalableFraction <= 1) {
+		return 0, errf(http.StatusBadRequest, "vm %d: scalable_fraction %g outside [0, 1]", s.ID, s.ScalableFraction)
 	}
 	switch s.Class {
 	case "", "regular":
@@ -384,76 +302,6 @@ func vmFromSpec(s api.VMSpec) (*vm.VM, error) {
 func (d *Daemon) serverRef(i int) api.ServerRef {
 	info := d.sim.Server(i)
 	return api.ServerRef{Index: info.Index, ID: info.ID, Tank: info.Tank}
-}
-
-// filterLocked answers "which servers can take this VM" from the live
-// simulation under the daemon lock — the read plane's oracle (see
-// view.go for the snapshot path that normally serves /v1/filter).
-func (d *Daemon) filterLocked(req api.FilterRequest) (api.FilterResponse, error) {
-	v, err := vmFromSpec(req.VM)
-	if err != nil {
-		return api.FilterResponse{}, err
-	}
-	cl := d.sim.Cluster()
-	servers := cl.Servers()
-	resp := api.FilterResponse{Vers: api.Version}
-	for i, srv := range servers {
-		ref := d.serverRef(i)
-		reason := cl.Explain(srv, v)
-		if reason == "" && v.Class == vm.HighPerf &&
-			d.sim.TankOverclocked(ref.Tank) >= d.sim.TankBudget(ref.Tank) {
-			// A guaranteed-overclock VM needs condenser headroom in the
-			// tank, not just core headroom on the server.
-			reason = reasonThermal
-		}
-		if reason == "" {
-			resp.Eligible = append(resp.Eligible, ref)
-		} else {
-			resp.Failed = append(resp.Failed, api.FilterFailure{Server: ref, Reason: reason})
-		}
-	}
-	return resp, nil
-}
-
-// prioritizeLocked scores candidates 0–100 from the live simulation
-// under the daemon lock: packing headroom after placement blended with
-// remaining wear credit (a server with slack in both can absorb bursts
-// by overclocking instead of degrading). The snapshot path in view.go
-// replicates this arithmetic expression for expression.
-func (d *Daemon) prioritizeLocked(req api.PrioritizeRequest) (api.PrioritizeResponse, error) {
-	v, err := vmFromSpec(req.VM)
-	if err != nil {
-		return api.PrioritizeResponse{}, err
-	}
-	pol := d.sim.Cluster().Policy
-	resp := api.PrioritizeResponse{Vers: api.Version}
-	for _, i := range req.Servers {
-		if i < 0 || i >= d.sim.ServerCount() {
-			return api.PrioritizeResponse{}, errf(http.StatusBadRequest, "server %d out of range", i)
-		}
-		info := d.sim.Server(i)
-		capV := float64(info.PCores)
-		if pol.CPUOversubRatio > 0 && info.Overclockable {
-			capV = math.Floor(capV * (1 + pol.CPUOversubRatio))
-		}
-		headroom := (capV - float64(info.VCoresUsed) - float64(v.Type.VCores)) / capV
-		headroom = math.Max(0, math.Min(1, headroom))
-		credit := 1.0
-		if info.WearProRata > 0 {
-			credit = math.Max(0, math.Min(1, 1-info.WearUsed/info.WearProRata))
-		}
-		resp.Scores = append(resp.Scores, api.HostScore{
-			Server: api.ServerRef{Index: info.Index, ID: info.ID, Tank: info.Tank},
-			Score:  100 * (0.6*headroom + 0.4*credit),
-		})
-	}
-	sort.SliceStable(resp.Scores, func(a, b int) bool {
-		if resp.Scores[a].Score != resp.Scores[b].Score {
-			return resp.Scores[a].Score > resp.Scores[b].Score
-		}
-		return resp.Scores[a].Server.Index < resp.Scores[b].Server.Index
-	})
-	return resp, nil
 }
 
 // place binds a VM through the cluster packer with trace-identical
@@ -551,7 +399,10 @@ func (d *Daemon) step(ctx context.Context, req api.StepRequest) (api.StepRespons
 		return api.StepResponse{}, errf(http.StatusConflict, "time is %s; POST /v1/step needs -mode stepped", d.mode)
 	}
 	n := req.Steps
-	if n <= 0 {
+	if n < 0 {
+		return api.StepResponse{}, errf(http.StatusBadRequest, "steps %d is negative", n)
+	}
+	if n == 0 {
 		n = 1
 	}
 	if n > maxStepsPerCall {
@@ -572,49 +423,14 @@ func (d *Daemon) step(ctx context.Context, req api.StepRequest) (api.StepRespons
 			d.sim.Step()
 		}
 		simT = d.sim.Now()
-		// Steps publish unconditionally (absorbing any pending
-		// coalesced write): the chunked COW export makes the per-chunk
-		// republish O(servers the chunk's steps touched + dirty
-		// chunks), so progress visibility costs what changed.
-		d.publishNowLocked()
+		// The chunked COW export makes the per-chunk republish
+		// O(servers the chunk's steps touched + dirty chunks), so
+		// progress visibility costs what changed.
+		d.publishLocked()
 		d.mu.Unlock()
 		run += chunk
 	}
 	return api.StepResponse{Vers: api.Version, SimTimeS: simT, StepsRun: run}, nil
-}
-
-// statusLocked snapshots the fleet KPIs from the live simulation under
-// the daemon lock (cumulative counts from the run's report plus live
-// row/thermal state) — the oracle for the snapshot status path.
-func (d *Daemon) statusLocked() api.FleetStatus {
-	rep := d.sim.Report()
-	oc := 0
-	maxBath := 0.0
-	for i := 0; i < d.sim.TankCount(); i++ {
-		oc += d.sim.TankOverclocked(i)
-		if b := d.sim.TankBathC(i); b > maxBath {
-			maxBath = b
-		}
-	}
-	return api.FleetStatus{
-		Vers:                 api.Version,
-		SimTimeS:             d.sim.Now(),
-		StepS:                d.sim.StepS(),
-		Mode:                 d.mode,
-		Servers:              d.sim.ServerCount(),
-		Tanks:                d.sim.TankCount(),
-		PlacedVMs:            len(d.vms),
-		Density:              d.sim.Cluster().Density(),
-		Rejected:             rep.Rejected,
-		RowPowerW:            d.sim.RowPowerW(),
-		MaxBathC:             rep.MaxBathC,
-		Overclocked:          oc,
-		Grants:               rep.TotalGrants,
-		Cancelled:            rep.CancelledOverclocks,
-		CapEvents:            rep.CapEvents,
-		OverclockServerHours: rep.OverclockServerHours,
-		MeanWearUsed:         rep.MeanWearUsed,
-	}
 }
 
 // FinalReport renders the closing fleet report for the shutdown log.
@@ -625,43 +441,15 @@ func (d *Daemon) FinalReport() string {
 }
 
 // Handler builds the daemon's route table. The read endpoints serve
-// from the published snapshot (view.go); with lockedReads set they
-// fall back to the live-simulation-under-mutex path instead.
+// from the published snapshot (view.go); the write endpoints run under
+// the daemon lock and republish it.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
-	if d.lockedReads {
-		mux.HandleFunc("/v1/filter", post(d, func(r api.FilterRequest) string { return r.Vers },
-			locked(d, d.filterLocked)))
-		mux.HandleFunc("/v1/prioritize", post(d, func(r api.PrioritizeRequest) string { return r.Vers },
-			locked(d, d.prioritizeLocked)))
-		mux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {
-			d.requests.Inc()
-			if r.Method != http.MethodGet {
-				writeError(w, http.StatusMethodNotAllowed, "GET only")
-				return
-			}
-			d.mu.Lock()
-			st := d.statusLocked()
-			d.mu.Unlock()
-			writeJSON(w, http.StatusOK, st)
-		})
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintln(w, "ok")
-		})
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			d.requests.Inc()
-			snap := d.reg.Snapshot()
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = snap.WritePrometheus(w, "ocd")
-		})
-	} else {
-		mux.HandleFunc("/v1/filter", d.serveFilter)
-		mux.HandleFunc("/v1/prioritize", d.servePrioritize)
-		mux.HandleFunc("/v1/status", d.serveStatus)
-		mux.HandleFunc("/healthz", d.serveHealthz)
-		mux.HandleFunc("/metrics", d.serveMetrics)
-	}
+	mux.HandleFunc("/v1/filter", d.serveFilter)
+	mux.HandleFunc("/v1/prioritize", d.servePrioritize)
+	mux.HandleFunc("/v1/status", d.serveStatus)
+	mux.HandleFunc("/healthz", d.serveHealthz)
+	mux.HandleFunc("/metrics", d.serveMetrics)
 	mux.HandleFunc("/v1/place", post(d, func(r api.PlaceRequest) string { return r.Vers }, locked(d, d.place)))
 	mux.HandleFunc("/v1/remove", post(d, func(r api.RemoveRequest) string { return r.Vers }, locked(d, d.remove)))
 	mux.HandleFunc("/v1/overclock", post(d, func(r api.OverclockGrantRequest) string { return r.Vers }, locked(d, d.overclock)))

@@ -262,4 +262,38 @@ func TestDaemonRequestValidation(t *testing.T) {
 	if _, err := c.Step(ctx, api.StepRequest{Steps: maxStepsPerCall + 1}); err == nil {
 		t.Fatal("oversized step batch accepted")
 	}
+
+	is400 := func(err error) bool { return err != nil && strings.Contains(err.Error(), "(HTTP 400)") }
+
+	// A negative step count is a client error; an omitted one means one
+	// step.
+	if _, err := c.Step(ctx, api.StepRequest{Steps: -7}); !is400(err) {
+		t.Fatalf("negative step count: %v, want HTTP 400", err)
+	}
+	if sr, err := c.Step(ctx, api.StepRequest{}); err != nil || sr.StepsRun != 1 {
+		t.Fatalf("omitted step count: %+v, %v; want one step", sr, err)
+	}
+
+	// Utilization fractions outside [0, 1] are rejected by every
+	// endpoint that takes a VM. Placed, the 1e308 VM would buy idle
+	// server 0 an overclock grant.
+	for _, spec := range []api.VMSpec{
+		{ID: 50, VCores: 4, MemoryGB: 16, AvgUtil: 1e308},
+		{ID: 51, VCores: 4, MemoryGB: 16, AvgUtil: -0.5},
+		{ID: 52, VCores: 4, MemoryGB: 16, AvgUtil: 0.5, ScalableFraction: 1.5},
+	} {
+		if _, err := c.Place(ctx, api.PlaceRequest{VM: spec}); !is400(err) {
+			t.Fatalf("place %+v: %v, want HTTP 400", spec, err)
+		}
+		if _, err := c.Filter(ctx, api.FilterRequest{VM: spec}); !is400(err) {
+			t.Fatalf("filter %+v: %v, want HTTP 400", spec, err)
+		}
+		if _, err := c.Prioritize(ctx, api.PrioritizeRequest{VM: spec, Servers: []int{0}}); !is400(err) {
+			t.Fatalf("prioritize %+v: %v, want HTTP 400", spec, err)
+		}
+	}
+	od, err := c.Overclock(ctx, api.OverclockGrantRequest{Server: 0})
+	if err != nil || od.Granted || od.Reason != "eq1_threshold" {
+		t.Fatalf("server 0 after rejected placements: %+v, %v; want an eq1_threshold denial", od, err)
+	}
 }

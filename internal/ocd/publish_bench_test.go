@@ -4,12 +4,12 @@ package ocd
 // batch) visible to the read plane. Each benchmark has two arms. The
 // plain arm is the shipped path: views chain through the snapshot's
 // chunked copy-on-write columns, so a publish re-materializes only the
-// chunks that mutations dirtied. The FullCopy arm flips
-// SetFullCopyPublish, breaking the chain so every publish rebuilds
-// every column — the pre-COW publication cost, kept live so the A/B
-// never goes stale. bench_baseline.json carries the FullCopy arm's
-// numbers as the plain arm's baseline, so `make bench` reports the COW
-// speedup directly.
+// chunks that mutations dirtied. The FullCopy arm fills a zero-value
+// FleetSnapshot instead, which has no chunks to share, so every
+// publish rebuilds every column — the pre-COW publication cost, kept
+// live so the A/B never goes stale. bench_baseline.json carries the
+// FullCopy arm's numbers as the plain arm's baseline, so `make bench`
+// reports the COW speedup directly.
 //
 // The gate: at 100k servers a single-placement publish must be ≥20×
 // cheaper chained than fully copied.
@@ -25,8 +25,9 @@ import (
 )
 
 // publishDaemon builds a stepped daemon over n servers, packed ~60%
-// through the real place path, with one view published.
-func publishDaemon(b *testing.B, n int, fullCopy bool) *Daemon {
+// through the real place path, with one view published, and returns it
+// with the arm's publish function (caller holds d.mu).
+func publishDaemon(b *testing.B, n int, fullCopy bool) (*Daemon, func()) {
 	b.Helper()
 	cfg := dcsim.DefaultConfig()
 	cfg.Servers = n
@@ -35,7 +36,6 @@ func publishDaemon(b *testing.B, n int, fullCopy bool) *Daemon {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d.SetFullCopyPublish(fullCopy)
 	d.mu.Lock()
 	for i := 0; i < n*3/5; i++ {
 		resp, err := d.place(api.PlaceRequest{VM: api.VMSpec{
@@ -46,9 +46,16 @@ func publishDaemon(b *testing.B, n int, fullCopy bool) *Daemon {
 			b.Fatalf("prefill place %d: %v %+v", i, err, resp)
 		}
 	}
-	d.publishNowLocked()
+	d.publishLocked()
 	d.mu.Unlock()
-	return d
+	if fullCopy {
+		return d, func() {
+			v := &fleetView{placedVMs: len(d.vms)}
+			d.sim.Snapshot(&v.FleetSnapshot)
+			d.snap.Store(v)
+		}
+	}
+	return d, d.publishLocked
 }
 
 // benchPublishPlace measures one write-plane cycle: a single placement
@@ -56,7 +63,7 @@ func publishDaemon(b *testing.B, n int, fullCopy bool) *Daemon {
 // visible. In the chained arm only the mutated server's chunk
 // re-materializes; in the full-copy arm the whole fleet does.
 func benchPublishPlace(b *testing.B, n int, fullCopy bool) {
-	d := publishDaemon(b, n, fullCopy)
+	d, publish := publishDaemon(b, n, fullCopy)
 	id := 1 << 30
 	placed := false
 	b.ReportAllocs()
@@ -78,7 +85,7 @@ func benchPublishPlace(b *testing.B, n int, fullCopy bool) {
 			}
 		}
 		placed = !placed
-		d.publishLocked()
+		publish()
 		d.mu.Unlock()
 	}
 }
@@ -90,7 +97,7 @@ func benchPublishPlace(b *testing.B, n int, fullCopy bool) {
 // shares the untouched placement columns; the full-copy arm rebuilds
 // everything.
 func benchPublishStep(b *testing.B, n int, fullCopy bool) {
-	d := publishDaemon(b, n, fullCopy)
+	d, publish := publishDaemon(b, n, fullCopy)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -98,7 +105,7 @@ func benchPublishStep(b *testing.B, n int, fullCopy bool) {
 		d.mu.Lock()
 		d.sim.Step()
 		b.StartTimer()
-		d.publishNowLocked()
+		publish()
 		d.mu.Unlock()
 	}
 }

@@ -1,10 +1,8 @@
 package ocd
 
 // Publish-path unit tests: the steady-state allocation bound of a
-// chained publish, and the write-plane group-commit semantics
-// (leading-edge publish, burst coalescing, trailing-edge flush, step
-// absorption, and — under -race with concurrent writers — the
-// guarantee that coalescing never leaves the latest write unpublished).
+// chained publish, and — under -race with concurrent writers — the
+// guarantee that every write is visible the moment it returns.
 
 import (
 	"context"
@@ -12,7 +10,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"immersionoc/internal/dcsim"
 	"immersionoc/internal/telemetry"
@@ -69,116 +66,14 @@ func TestPublishAllocsBoundedByDirtyChunks(t *testing.T) {
 	}
 }
 
-// groupCommitDaemon builds a stepped daemon with its Handler and a
-// place helper issuing single-VM placements through the real HTTP
-// write path.
-func groupCommitDaemon(t *testing.T, window time.Duration) (*Daemon, func(id int)) {
-	t.Helper()
-	d, err := New(testFleet(), ModeStepped, telemetry.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetPublishMaxLatency(window)
-	h := d.Handler()
-	place := func(id int) {
-		t.Helper()
-		rec := hit(h, http.MethodPost, "/v1/place",
-			fmt.Sprintf(`{"vm":{"id":%d,"vcores":2,"memory_gb":8,"avg_util":0.5}}`, id))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("place %d: HTTP %d %s", id, rec.Code, rec.Body.String())
-		}
-	}
-	return d, place
-}
-
-// TestGroupCommitCoalesces drives the group-commit state machine
-// deterministically with an hour-long window: the leading edge
-// publishes immediately, a burst inside the window coalesces into a
-// pending view with one armed flush, the (manually fired) trailing
-// flush publishes the latest coalesced state, and a step absorbs any
-// pending write into its unconditional publish.
-func TestGroupCommitCoalesces(t *testing.T) {
-	d, place := groupCommitDaemon(t, time.Hour)
-
-	// Backdate the last publish so the first write lands outside the
-	// window.
-	d.mu.Lock()
-	d.lastPublish = time.Now().Add(-2 * time.Hour)
-	d.mu.Unlock()
-
-	v0 := d.snap.Load()
-	place(1)
-	v1 := d.snap.Load()
-	if v1 == v0 || v1.placedVMs != 1 {
-		t.Fatalf("leading-edge write did not publish immediately (placedVMs=%d)", v1.placedVMs)
-	}
-
-	place(2)
-	place(3)
-	if got := d.snap.Load(); got != v1 {
-		t.Fatalf("burst writes inside the window published eagerly, want coalesced")
-	}
-	d.mu.Lock()
-	pending, armed := d.pendingView, d.flushArmed
-	d.mu.Unlock()
-	if !pending || !armed {
-		t.Fatalf("coalesced burst: pendingView=%v flushArmed=%v, want both true", pending, armed)
-	}
-
-	d.flushPending()
-	v2 := d.snap.Load()
-	if v2 == v1 || v2.placedVMs != 3 {
-		t.Fatalf("trailing flush published placedVMs=%d, want 3", v2.placedVMs)
-	}
-
-	place(4)
-	if d.snap.Load() != v2 {
-		t.Fatalf("write after a flush should coalesce again")
-	}
-	rec := hit(d.Handler(), http.MethodPost, "/v1/step", `{"steps":1}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("step: HTTP %d %s", rec.Code, rec.Body.String())
-	}
-	v3 := d.snap.Load()
-	if v3.placedVMs != 4 {
-		t.Fatalf("step publish skipped the pending write: placedVMs=%d, want 4", v3.placedVMs)
-	}
-	d.mu.Lock()
-	pending = d.pendingView
-	d.mu.Unlock()
-	if pending {
-		t.Fatalf("step publish left pendingView set")
-	}
-}
-
-// TestGroupCommitTrailingFlush checks the max-latency bound with a
-// real timer: a coalesced write becomes visible within (roughly) one
-// window without any further write or step arriving.
-func TestGroupCommitTrailingFlush(t *testing.T) {
-	d, place := groupCommitDaemon(t, 25*time.Millisecond)
-	d.mu.Lock()
-	d.lastPublish = time.Now().Add(-time.Second)
-	d.mu.Unlock()
-
-	place(1) // leading edge: published
-	place(2) // inside the window: coalesced, flush armed
-	deadline := time.Now().Add(5 * time.Second)
-	for d.snap.Load().placedVMs != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("coalesced write still unpublished after 5s (placedVMs=%d)",
-				d.snap.Load().placedVMs)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestConcurrentWritersCoalescedPublish hammers a scaled-mode daemon —
+// TestConcurrentWritersPublishEveryWrite hammers a scaled-mode daemon —
 // parallel placers/removers/overclockers, concurrent snapshot readers,
-// RunScaled stepping and publishing underneath, all with a small
-// publish window — and then requires the published view to converge on
-// the exact final write state: coalescing may defer a write but must
-// never lose one. Run under -race in CI's multicore leg.
-func TestConcurrentWritersCoalescedPublish(t *testing.T) {
+// RunScaled stepping and publishing underneath — and then requires the
+// published view to hold the exact final write set as soon as the
+// writers stop: every write publishes before it releases the lock, so
+// no later publish is needed to make it visible. Run under -race in
+// CI's multicore leg.
+func TestConcurrentWritersPublishEveryWrite(t *testing.T) {
 	cfg := testFleet()
 	cfg.Servers = 48
 	cfg.ServersPerTank = 8
@@ -186,7 +81,6 @@ func TestConcurrentWritersCoalescedPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetPublishMaxLatency(2 * time.Millisecond)
 	h := d.Handler()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -237,23 +131,28 @@ func TestConcurrentWritersCoalescedPublish(t *testing.T) {
 		}(w)
 	}
 	writerWG.Wait()
+
+	// The stepper and the readers are still running. Under the lock the
+	// current view must match a fresh full export of the live fleet.
+	d.mu.Lock()
+	view := d.snap.Load()
+	var fresh dcsim.FleetSnapshot
+	d.sim.Snapshot(&fresh)
+	want := len(d.vms)
+	d.mu.Unlock()
+
 	close(readersDone)
 	readerWG.Wait()
 	cancel()
 	simWG.Wait()
 
-	// Quiesced: the only publisher left is the trailing flush timer.
-	// The published view must converge on exactly the daemon's final
-	// placed set.
-	d.mu.Lock()
-	want := len(d.vms)
-	d.mu.Unlock()
-	deadline := time.Now().Add(5 * time.Second)
-	for d.snap.Load().placedVMs != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("published view stuck at placedVMs=%d, want %d: a coalesced publish lost the latest write",
-				d.snap.Load().placedVMs, want)
+	if view.placedVMs != want {
+		t.Fatalf("published view has placedVMs=%d, want %d: a write returned unpublished",
+			view.placedVMs, want)
+	}
+	for i := 0; i < fresh.Flat.Servers; i++ {
+		if got, want := view.Flat.VCoresUsed.At(i), fresh.Flat.VCoresUsed.At(i); got != want {
+			t.Fatalf("server %d: published view has %d vcores used, live fleet %d", i, got, want)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }

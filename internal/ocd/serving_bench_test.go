@@ -6,8 +6,8 @@ package ocd
 // BenchmarkServingFilter and BenchmarkServingStatus are the PR's
 // 0 allocs/op gates. BenchmarkServingMixedReadWhileStepping is the
 // headline A/B: parallel readers against a stepper that holds the
-// write lock, once with lockedReads (the old serving path) and once
-// with snapshot reads.
+// write lock, once through lockedHandler (the old serving path, kept
+// as the test oracle) and once with snapshot reads.
 
 import (
 	"bytes"
@@ -47,7 +47,7 @@ func (b *benchBody) Close() error               { return nil }
 // response shape. The per-endpoint benchmarks use 1000 servers (the
 // 0 allocs/op gate size); the mixed benchmark scales up to fleet size,
 // where the O(fleet) cost of locked reads is the story.
-func benchDaemon(b *testing.B, servers int, locked bool) *Daemon {
+func benchDaemon(b *testing.B, servers int) *Daemon {
 	b.Helper()
 	cfg := dcsim.DefaultConfig()
 	cfg.Servers = servers
@@ -56,7 +56,6 @@ func benchDaemon(b *testing.B, servers int, locked bool) *Daemon {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d.lockedReads = locked
 	h := d.Handler()
 	for i := 0; i < servers*3/5; i++ {
 		body := `{"vm":{"id":` + strconv.Itoa(i) + `,"vcores":8,"memory_gb":32,"avg_util":0.6}}`
@@ -65,11 +64,6 @@ func benchDaemon(b *testing.B, servers int, locked bool) *Daemon {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("prefill place %d: HTTP %d %s", i, rec.Code, rec.Body.String())
 		}
-	}
-	if !locked {
-		d.mu.Lock()
-		d.publishLocked()
-		d.mu.Unlock()
 	}
 	return d
 }
@@ -94,7 +88,7 @@ var (
 // benchServe measures one snapshot endpoint called directly, with the
 // request body and writer recycled every iteration.
 func benchServe(b *testing.B, method, path string, payload []byte, fn func(*Daemon, http.ResponseWriter, *http.Request)) {
-	d := benchDaemon(b, 1000, false)
+	d := benchDaemon(b, 1000)
 	req := httptest.NewRequest(method, path, nil)
 	var body *benchBody
 	if payload != nil {
@@ -148,8 +142,11 @@ func BenchmarkServingMixedReadWhileStepping(b *testing.B) {
 }
 
 func benchMixed(b *testing.B, locked bool) {
-	d := benchDaemon(b, 4000, locked)
+	d := benchDaemon(b, 4000)
 	h := d.Handler()
+	if locked {
+		h = lockedHandler(d)
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -1,16 +1,17 @@
 package ocd
 
 // Differential tests pinning the snapshot read plane to the locked
-// read plane. Two daemons with identical fleets are driven through
-// their Handlers with an identical request stream — mutations included
-// — and every read response (status line, Content-Type, body) must
-// match byte for byte. One daemon serves reads from published
-// snapshots; the twin has lockedReads set, routing the same endpoints
-// through the pre-change mutex-and-live-Sim path. Because the write
-// plane is shared code and deterministic, the twins stay in lockstep,
-// so any divergence is the read plane's fault: a snapshot field copied
-// wrong, a scoring expression drifting, a decode error shaped
-// differently, an exposition byte out of place.
+// read plane. Two daemons with identical fleets are driven with an
+// identical request stream — mutations included — and every read
+// response (status line, Content-Type, body) must match byte for byte.
+// One daemon is served by its Handler, reading from published
+// snapshots; the twin is served by lockedHandler, routing the same
+// read endpoints through the mutex-and-live-Sim oracle
+// (locked_oracle_test.go). Because the write plane is shared code and
+// deterministic, the twins stay in lockstep, so any divergence is the
+// read plane's fault: a snapshot field copied wrong, a scoring
+// expression drifting, a decode error shaped differently, an
+// exposition byte out of place.
 
 import (
 	"bytes"
@@ -40,7 +41,6 @@ func twinDaemons(t *testing.T, cfg dcsim.Config) (snap, locked *Daemon) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.lockedReads = true
 	return d1, d2
 }
 
@@ -66,7 +66,7 @@ func TestSnapshotMatchesLockedReads(t *testing.T) {
 	cfg := testFleet()
 	cfg.FeederBudgetW = 2100 // just above idle draw: capping and denial paths engage
 	dSnap, dLocked := twinDaemons(t, cfg)
-	hSnap, hLocked := dSnap.Handler(), dLocked.Handler()
+	hSnap, hLocked := dSnap.Handler(), lockedHandler(dLocked)
 
 	post := func(path, body string) {
 		t.Helper()
@@ -95,6 +95,10 @@ func TestSnapshotMatchesLockedReads(t *testing.T) {
 		{"POST", "/v1/filter", `{"version":"v2","vm":{"id":1,"vcores":4,"memory_gb":16}}`},
 		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":0,"memory_gb":16}}`},
 		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"class":"turbo"}}`},
+		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":1e308}}`},
+		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":-0.1}}`},
+		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":1,"scalable_fraction":1.5}}`},
+		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":0.5,"scalable_fraction":-1e-9}}`},
 		{"POST", "/v1/filter", `{"vm":{"id":1.5,"vcores":4,"memory_gb":16}}`},
 		{"POST", "/v1/filter", `{"vm":{"id":01,"vcores":4,"memory_gb":16}}`},
 		{"POST", "/v1/filter", `{"vm":{"class":null,"id":1,"vcores":4,"memory_gb":16,"avg_util":0.5}}`},
@@ -113,6 +117,8 @@ func TestSnapshotMatchesLockedReads(t *testing.T) {
 		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[-1]}`},
 		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[1e2]}`},
 		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[0,]}`},
+		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":2},"servers":[0]}`},
+		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"scalable_fraction":7},"servers":[0]}`},
 		{"GET", "/v1/status", ""},
 		{"POST", "/v1/status", ""},
 		{"GET", "/healthz", ""},
@@ -192,7 +198,7 @@ func TestSnapshotMatchesLockedReads(t *testing.T) {
 		for i := 0; i < d.sim.ServerCount(); i++ {
 			d.sim.RefreshServerPower(i)
 		}
-		d.publishAfterWriteLocked()
+		d.publishLocked()
 		return displaced
 	}
 	displaced := fail(dSnap)

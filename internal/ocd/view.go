@@ -5,11 +5,11 @@ package ocd
 // fleetView, with zero locking and zero steady-state allocations.
 //
 // Correctness contract: every handler here must produce bytes
-// identical to its locked oracle in daemon.go when the view was
-// published at the same simulated instant — TestSnapshotMatchesLockedReads
-// pins that equivalence response by response. The allocation contract
-// (0 allocs/op once scratch is warm) is pinned by the serving
-// benchmarks.
+// identical to its locked oracle (locked_oracle_test.go) when the view
+// was published at the same simulated instant —
+// TestSnapshotMatchesLockedReads pins that equivalence response by
+// response. The allocation contract (0 allocs/op once scratch is warm)
+// is pinned by the serving benchmarks.
 //
 // Recycling rules:
 //   - fleetView is immutable after publishLocked stores it. Views are
@@ -59,18 +59,10 @@ type fleetView struct {
 // column chunk that no mutation dirtied since the last publish, so a
 // one-VM write republishes in O(dirty chunks) instead of O(fleet). The
 // previous view is never written — readers holding it are undisturbed.
-// With fullCopyPublish set the chain is broken every time and the view
-// materializes from scratch: the pre-COW publication cost, kept live
-// as the benchmark baseline.
 func (d *Daemon) publishLocked() {
-	if d.lockedReads {
-		return
-	}
 	v := &fleetView{}
-	if !d.fullCopyPublish {
-		if prev := d.snap.Load(); prev != nil {
-			v.FleetSnapshot = prev.FleetSnapshot
-		}
+	if prev := d.snap.Load(); prev != nil {
+		v.FleetSnapshot = prev.FleetSnapshot
 	}
 	d.sim.Snapshot(&v.FleetSnapshot)
 	v.placedVMs = len(d.vms)
@@ -346,8 +338,7 @@ func (d *Daemon) serveHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveMetrics renders the Prometheus exposition through a pooled
-// plan-caching renderer, byte-identical to the locked path's
-// Snapshot().WritePrometheus.
+// plan-caching renderer.
 func (d *Daemon) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	d.requests.Inc()
 	rend := d.renderers.Get().(*telemetry.PromRenderer)

@@ -18,15 +18,15 @@ import "testing"
 // fast path.
 func BenchmarkKernel(b *testing.B) {
 	for _, k := range []struct {
-		name string
-		impl QueueImpl
+		name   string
+		newSim func() *Simulation
 	}{
-		{"wheel", WheelQueue},
-		{"heap", HeapQueue},
+		{"wheel", New},
+		{"heap", newHeapSim},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			b.Run("schedule-fire", func(b *testing.B) {
-				s := NewWith(k.impl)
+				s := k.newSim()
 				n := 0
 				var tick func(*Simulation)
 				tick = func(sm *Simulation) {
@@ -45,7 +45,7 @@ func BenchmarkKernel(b *testing.B) {
 			})
 
 			b.Run("retime", func(b *testing.B) {
-				s := NewWith(k.impl)
+				s := k.newSim()
 				// A realistic backlog so the heap has levels to sift
 				// through and the wheel has occupied buckets.
 				for i := 0; i < 64; i++ {
@@ -60,7 +60,7 @@ func BenchmarkKernel(b *testing.B) {
 			})
 
 			b.Run("cancel-reschedule", func(b *testing.B) {
-				s := NewWith(k.impl)
+				s := k.newSim()
 				fn := func(*Simulation) {}
 				e := s.Schedule(1e18, fn)
 				b.ReportAllocs()

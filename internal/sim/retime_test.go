@@ -30,8 +30,8 @@ func TestRescheduleTieBreak(t *testing.T) {
 	s := New()
 	var got []string
 	b := s.Schedule(3, func(*Simulation) { got = append(got, "b") }) // seq 0
-	s.Schedule(5, func(*Simulation) { got = append(got, "a") })     // seq 1
-	s.Reschedule(b, 5)                                              // b now ties with a but with a later seq
+	s.Schedule(5, func(*Simulation) { got = append(got, "a") })      // seq 1
+	s.Reschedule(b, 5)                                               // b now ties with a but with a later seq
 	s.Run()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("tie order %v, want [a b]", got)

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -41,8 +40,8 @@ type Event struct {
 	seq uint64
 	fn  func(*Simulation)
 	// idx is the event's slot in whichever queue container holds it
-	// (heap index, wheel bucket slot, drain or overflow position);
-	// -1 when not queued.
+	// (wheel bucket slot, drain or overflow position); -1 when not
+	// queued.
 	idx  int
 	loc  int32 // container code, see locNone and friends in wheel.go
 	dead bool
@@ -65,10 +64,12 @@ func (e *Event) Cancelled() bool { return e.dead }
 // (i.e. it has neither fired nor been drained after cancellation).
 func (e *Event) Queued() bool { return e.idx >= 0 }
 
-// queueImpl is the event-queue backend contract. Both implementations
-// deliver events in strictly increasing (at, seq) order; Cancel stays
-// lazy (tombstones are drained by the run loop), so len counts dead
-// events until they pass the pop point.
+// queueImpl is the event-queue backend contract: deliver events in
+// strictly increasing (at, seq) order. Cancel stays lazy (tombstones
+// are drained by the run loop), so len counts dead events until they
+// pass the pop point. The timing wheel (wheel.go) is the only
+// production backend; the tests substitute a binary heap as its
+// differential oracle.
 type queueImpl interface {
 	push(e *Event)
 	// fix re-positions e after its (at, seq) changed in place.
@@ -79,79 +80,6 @@ type queueImpl interface {
 	pop() *Event
 	len() int
 }
-
-// QueueImpl selects the event-queue backend for a Simulation.
-type QueueImpl int
-
-const (
-	// WheelQueue is the default O(1) hierarchical timing wheel
-	// (see wheel.go).
-	WheelQueue QueueImpl = iota
-	// HeapQueue is the O(log n) binary-heap reference kernel, kept
-	// for differential testing against the wheel.
-	HeapQueue
-)
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*q = old[:n-1]
-	return e
-}
-
-// heapQueue adapts the container/heap eventQueue to queueImpl.
-type heapQueue struct{ q eventQueue }
-
-func (h *heapQueue) push(e *Event) {
-	e.loc = locHeap
-	heap.Push(&h.q, e)
-}
-
-func (h *heapQueue) fix(e *Event) { heap.Fix(&h.q, e.idx) }
-
-func (h *heapQueue) queued(e *Event) bool {
-	return e.idx >= 0 && e.idx < len(h.q) && h.q[e.idx] == e
-}
-
-func (h *heapQueue) peek() *Event {
-	if len(h.q) == 0 {
-		return nil
-	}
-	return h.q[0]
-}
-
-func (h *heapQueue) pop() *Event {
-	if len(h.q) == 0 {
-		return nil
-	}
-	e := heap.Pop(&h.q).(*Event)
-	e.loc = locNone
-	return e
-}
-
-func (h *heapQueue) len() int { return len(h.q) }
 
 // Simulation is a discrete-event simulator instance. The zero value is
 // not usable; construct with New.
@@ -214,20 +142,7 @@ func (s *Simulation) SetTelemetry(scope *telemetry.Scope) {
 // New returns an empty simulation with the clock at zero, backed by
 // the timing-wheel event queue.
 func New() *Simulation {
-	return NewWith(WheelQueue)
-}
-
-// NewWith returns an empty simulation backed by the chosen event-queue
-// implementation. Both backends fire events in the exact same order;
-// HeapQueue exists so differential tests can compare the wheel against
-// the reference kernel.
-func NewWith(impl QueueImpl) *Simulation {
-	switch impl {
-	case HeapQueue:
-		return &Simulation{queue: &heapQueue{}}
-	default:
-		return &Simulation{queue: newWheelQueue()}
-	}
+	return &Simulation{queue: newWheelQueue()}
 }
 
 // Now returns the current virtual time.
@@ -256,7 +171,7 @@ func (s *Simulation) Schedule(at Time, fn func(*Simulation)) *Event {
 }
 
 // Reschedule moves a pending event to a new time in place: the queued
-// struct is retimed and sift-fixed at its tracked heap index, with no
+// struct is retimed and re-placed from its tracked slot, with no
 // allocation and no dead tombstone left behind. The event's insertion
 // sequence is bumped exactly as if it had been cancelled and scheduled
 // anew, so tie-breaking against other events at the same timestamp is

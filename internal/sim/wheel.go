@@ -94,7 +94,6 @@ const (
 // foreign events (owned by a different Simulation) are detected.
 const (
 	locNone     = -1 // not queued
-	locHeap     = -2 // owned by the heap kernel (slot in Event.idx)
 	locDrain    = -3 // wheelQueue.drain (slot in Event.idx)
 	locOverflow = -4 // wheelQueue.overflow (slot in Event.idx)
 	// loc >= 0: wheel bucket level*wheelSize + bucket (slot in Event.idx)
@@ -166,7 +165,7 @@ func newWheelQueue() *wheelQueue {
 	for l := range w.levels {
 		for b := range w.levels[l].buckets {
 			o := (l*wheelSize + b) * perBucket
-			w.levels[l].buckets[b] = backing[o:o : o+perBucket]
+			w.levels[l].buckets[b] = backing[o : o : o+perBucket]
 		}
 	}
 	return w

@@ -45,8 +45,8 @@ func traceDelta(b uint8) float64 {
 
 // runTrace drives one kernel through a trace and returns the exact
 // firing log (event ids in firing order) plus final clock state.
-func runTrace(impl QueueImpl, ops []traceOp) (log []int, now Time, fired uint64) {
-	s := NewWith(impl)
+func runTrace(newSim func() *Simulation, ops []traceOp) (log []int, now Time, fired uint64) {
+	s := newSim()
 	var evs []*Event
 	var alive []bool
 	schedule := func(at Time) {
@@ -88,8 +88,8 @@ func runTrace(impl QueueImpl, ops []traceOp) (log []int, now Time, fired uint64)
 // wheel horizon.
 func TestWheelMatchesHeap(t *testing.T) {
 	f := func(ops []traceOp) bool {
-		wLog, wNow, wFired := runTrace(WheelQueue, ops)
-		hLog, hNow, hFired := runTrace(HeapQueue, ops)
+		wLog, wNow, wFired := runTrace(New, ops)
+		hLog, hNow, hFired := runTrace(newHeapSim, ops)
 		if wNow != hNow || wFired != hFired || len(wLog) != len(hLog) {
 			t.Logf("wheel now=%v fired=%d n=%d; heap now=%v fired=%d n=%d",
 				wNow, wFired, len(wLog), hNow, hFired, len(hLog))
@@ -197,14 +197,14 @@ func TestWheelInfiniteTimestamp(t *testing.T) {
 func TestWheelForeignEventPanics(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
-		mine, them QueueImpl
+		mine, them func() *Simulation
 	}{
-		{"heap event on wheel", WheelQueue, HeapQueue},
-		{"wheel event on heap", HeapQueue, WheelQueue},
+		{"heap event on wheel", New, newHeapSim},
+		{"wheel event on heap", newHeapSim, New},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewWith(tc.mine)
-			other := NewWith(tc.them)
+			s := tc.mine()
+			other := tc.them()
 			e := other.Schedule(1, func(*Simulation) {})
 			s.Schedule(1, func(*Simulation) {})
 			defer func() {

@@ -69,17 +69,18 @@ var (
 	labelPairRe  = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
 )
 
-// TestWritePrometheusLint validates the exposition the way promlint
-// does: every line parses, every name is legal, counters end in
-// _total, every sample's base name has a preceding TYPE line, and
-// histogram bucket counts are cumulative and consistent with _count.
+// TestWritePrometheusLint validates the exposition /metrics serves —
+// PromRenderer's output — the way promlint does: every line parses,
+// every name is legal, counters end in _total, every sample's base
+// name has a preceding TYPE line, and histogram bucket counts are
+// cumulative and consistent with _count.
 func TestWritePrometheusLint(t *testing.T) {
 	reg := promFixture()
 	// A hostile metric name must still sanitize to something legal.
 	reg.Scope("dcsim").Gauge("util.v8-large (burst)").Set(1)
 
 	var b strings.Builder
-	if err := reg.Snapshot().WritePrometheus(&b, "ocd"); err != nil {
+	if err := NewPromRenderer(reg, "ocd").Render(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

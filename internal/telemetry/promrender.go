@@ -1,9 +1,9 @@
 package telemetry
 
-// PromRenderer is the scrape-rate Prometheus exposition path: it
-// renders a live Registry byte-identical to
-// Registry.Snapshot().WritePrometheus but without building the
-// intermediate Snapshot, and with zero steady-state allocations.
+// PromRenderer is the Prometheus exposition path (mapping in prom.go):
+// it renders a live Registry without building an intermediate
+// Snapshot, and with zero steady-state allocations. Tests pin it byte
+// for byte to a plain snapshot renderer (prom_oracle_test.go).
 //
 // The renderer exploits the registry's shape being append-only: scopes
 // and metrics are created once and never removed, so the expensive
@@ -19,8 +19,7 @@ package telemetry
 //
 // A PromRenderer is NOT safe for concurrent use — callers that serve
 // scrapes concurrently keep a sync.Pool of renderers (each warms its
-// own plan and buffer). WritePrometheus stays as the one-shot path for
-// snapshots that already exist.
+// own plan and buffer).
 
 import (
 	"fmt"
@@ -74,8 +73,8 @@ type PromRenderer struct {
 }
 
 // NewPromRenderer builds a renderer for reg under the namespace prefix
-// ("" defaults to "immersionoc", matching WritePrometheus). The render
-// plan is built lazily on first Render.
+// ("" defaults to "immersionoc"). The render plan is built lazily on
+// first Render.
 func NewPromRenderer(reg *Registry, namespace string) *PromRenderer {
 	if namespace == "" {
 		namespace = "immersionoc"
@@ -84,10 +83,7 @@ func NewPromRenderer(reg *Registry, namespace string) *PromRenderer {
 }
 
 // Render writes the registry's current state in Prometheus text
-// exposition format: byte-identical to
-// reg.Snapshot().WritePrometheus(w, namespace) taken at the same
-// instant (on a quiescent registry). A nil or Off registry writes
-// nothing.
+// exposition format. A nil or Off registry writes nothing.
 func (r *PromRenderer) Render(w io.Writer) error {
 	if r.reg == nil || r.reg.off {
 		return nil
@@ -159,10 +155,10 @@ func (r *PromRenderer) stale() bool {
 	return false
 }
 
-// rebuild reconstructs the render plan, replicating WritePrometheus's
-// ordering exactly: scopes sorted, per-scope metric names sorted
-// (counters, then gauges, then histograms), families emitted in
-// sorted-name order with first-registration-wins TYPE.
+// rebuild reconstructs the render plan in exposition order: scopes
+// sorted, per-scope metric names sorted (counters, then gauges, then
+// histograms), families emitted in sorted-name order with
+// first-registration-wins TYPE.
 func (r *PromRenderer) rebuild() {
 	r.reg.mu.RLock()
 	scopes := make([]*Scope, 0, len(r.reg.scopes))
@@ -240,7 +236,7 @@ func (r *PromRenderer) rebuild() {
 }
 
 // trimFamily strips the namespace prefix and counter suffix for the
-// HELP line, exactly as WritePrometheus does.
+// HELP line.
 func trimFamily(name, namespace string) string {
 	if len(name) >= 6 && name[len(name)-6:] == "_total" {
 		name = name[:len(name)-6]
