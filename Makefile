@@ -39,7 +39,8 @@ verify:
 # per-read cost is ~µs and the stepper cycle is ms-scale, so short runs
 # read scheduler noise); the publish benchmarks pin 100 (each op
 # rebuilds dirty snapshot chunks, and the FullCopy arms pay a full
-# 100k-server materialization per op).
+# 100k-server materialization per op). BenchmarkDigestQuantile pins 20
+# (one P95 selection over a refilled 1Mi-sample digest, ms-scale).
 # Takes ~10 minutes: BenchmarkRunnerAll replays the evaluation 4 times.
 bench:
 	( $(GO) test -bench=BenchmarkKernel -benchtime=200000x -benchmem -run='^$$' ./internal/sim/ && \
@@ -48,20 +49,22 @@ bench:
 	  $(GO) test -bench='BenchmarkServing(Filter|Prioritize|Status|Metrics)$$' -benchtime=2000x -benchmem -run='^$$' ./internal/ocd/ && \
 	  $(GO) test -bench=BenchmarkServingMixedReadWhileStepping -benchtime=20000x -benchmem -run='^$$' ./internal/ocd/ && \
 	  $(GO) test -bench='BenchmarkPublish(Place|Step)(FullCopy)?$$' -benchtime=100x -benchmem -run='^$$' ./internal/ocd/ && \
+	  $(GO) test -bench=BenchmarkDigestQuantile -benchtime=20x -benchmem -run='^$$' ./internal/stats/ && \
 	  $(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' \
-	    $$($(GO) list ./... | grep -v -e internal/sim -e internal/queueing -e internal/telemetry -e internal/ocd) ) \
+	    $$($(GO) list ./... | grep -v -e internal/sim -e internal/queueing -e internal/telemetry -e internal/ocd -e internal/stats) ) \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -out BENCH_10.json
 	@cat BENCH_10.json
 
 # CI bench smoke: one iteration of the kernel (both queue backends),
-# oversubscription, a GB-scale harness (TableXI), fleet-simulation,
-# sharded-hyperscale, mixed read-while-stepping serving and snapshot
-# publication (COW + full-copy arms) hot-path benchmarks, piped
-# through benchjson so benchmark and tooling rot fail fast.
+# oversubscription, digest P95 selection, a GB-scale harness (TableXI),
+# fleet-simulation, sharded-hyperscale, mixed read-while-stepping
+# serving and snapshot publication (COW + full-copy arms) hot-path
+# benchmarks, piped through benchjson so benchmark and tooling rot
+# fail fast.
 bench-smoke:
-	$(GO) test -bench='BenchmarkKernel|BenchmarkOversubscribed|BenchmarkTableXI$$|BenchmarkFleetSim$$|BenchmarkFleetHyperScale|BenchmarkServingMixedReadWhileStepping|BenchmarkPublishPlace' \
+	$(GO) test -bench='BenchmarkKernel|BenchmarkOversubscribed|BenchmarkDigestQuantile|BenchmarkTableXI$$|BenchmarkFleetSim$$|BenchmarkFleetHyperScale|BenchmarkServingMixedReadWhileStepping|BenchmarkPublishPlace' \
 		-benchtime=1x -benchmem -run='^$$' \
-		./internal/sim/ ./internal/queueing/ ./internal/ocd/ . | $(GO) run ./cmd/benchjson
+		./internal/sim/ ./internal/queueing/ ./internal/stats/ ./internal/ocd/ . | $(GO) run ./cmd/benchjson
 
 # Serial-vs-parallel wall clock of the full evaluation.
 bench-runner:

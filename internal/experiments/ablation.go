@@ -246,22 +246,12 @@ func PolicyComparisonData(o Options) ([]*autoscaler.Result, error) {
 
 // PolicyComparisonDataCtx is PolicyComparisonData honoring ctx: a
 // cancelled context stops the in-flight policy simulation at the
-// kernel's next event batch. The five policy runs share only the
-// read-only ramp phases, so they fan out through sweep.Map under
-// o.Workers.
+// kernel's next event batch. The five policies fan out through
+// runPolicies under o.Workers.
 func PolicyComparisonDataCtx(ctx context.Context, o Options) ([]*autoscaler.Result, error) {
-	phases := autoscaler.RampPhases(500, 4000, 500, 300)
-	policies := []autoscaler.Policy{
+	return runPolicies(ctx, o, autoscaler.RampPhases(500, 4000, 500, 300),
 		autoscaler.Baseline, autoscaler.OCE, autoscaler.OCA,
-		autoscaler.Predictive, autoscaler.PredictiveOCA,
-	}
-	return sweep.Map(ctx, len(policies), sweep.Options{Workers: o.Workers, Tel: o.Tel},
-		func(ctx context.Context, i int) (*autoscaler.Result, error) {
-			cfg := autoscaler.DefaultConfig(policies[i], phases)
-			cfg.Seed = o.SeedOr(3)
-			cfg.Tel = o.Tel.Child(policies[i].String())
-			return autoscaler.RunCtx(ctx, cfg)
-		})
+		autoscaler.Predictive, autoscaler.PredictiveOCA)
 }
 
 // PolicyComparison renders the five-policy comparison.

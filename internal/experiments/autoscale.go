@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"immersionoc/internal/autoscaler"
+	"immersionoc/internal/queueing"
+	"immersionoc/internal/sweep"
 )
 
 // Fig15Result carries the model-validation run (scale-up/down only).
@@ -93,28 +95,30 @@ func TableXIData(o Options) (TableXIResult, error) {
 
 // TableXIDataCtx is TableXIData honoring ctx: a cancelled context
 // stops the in-flight policy simulation at the kernel's next event
-// batch instead of finishing the ramp.
+// batch instead of finishing the ramp. The three policies fan out
+// through runPolicies under o.Workers.
 func TableXIDataCtx(ctx context.Context, o Options) (TableXIResult, error) {
-	phases := autoscaler.RampPhases(500, 4000, 500, 300)
-	var res TableXIResult
-	for _, pc := range []struct {
-		policy autoscaler.Policy
-		dst    **autoscaler.Result
-	}{
-		{autoscaler.Baseline, &res.Baseline},
-		{autoscaler.OCE, &res.OCE},
-		{autoscaler.OCA, &res.OCA},
-	} {
-		cfg := autoscaler.DefaultConfig(pc.policy, phases)
-		cfg.Seed = o.SeedOr(3)
-		cfg.Tel = o.Tel
-		r, err := autoscaler.RunCtx(ctx, cfg)
-		if err != nil {
-			return TableXIResult{}, err
-		}
-		*pc.dst = r
+	rs, err := runPolicies(ctx, o, autoscaler.RampPhases(500, 4000, 500, 300),
+		autoscaler.Baseline, autoscaler.OCE, autoscaler.OCA)
+	if err != nil {
+		return TableXIResult{}, err
 	}
-	return res, nil
+	return TableXIResult{Baseline: rs[0], OCE: rs[1], OCA: rs[2]}, nil
+}
+
+// runPolicies runs one auto-scaler per policy over the same load
+// phases (seed 3 unless o overrides it). The runs share only the
+// read-only phase list, so they fan out through sweep.Map under
+// o.Workers, each publishing telemetry into a per-policy child scope;
+// results keep the policies' order.
+func runPolicies(ctx context.Context, o Options, phases []queueing.LoadPhase, policies ...autoscaler.Policy) ([]*autoscaler.Result, error) {
+	return sweep.Map(ctx, len(policies), sweep.Options{Workers: o.Workers, Tel: o.Tel},
+		func(ctx context.Context, i int) (*autoscaler.Result, error) {
+			cfg := autoscaler.DefaultConfig(policies[i], phases)
+			cfg.Seed = o.SeedOr(3)
+			cfg.Tel = o.Tel.Child(policies[i].String())
+			return autoscaler.RunCtx(ctx, cfg)
+		})
 }
 
 // TableXI renders the full auto-scaler experiment results.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"immersionoc/internal/autoscaler"
-	"immersionoc/internal/sweep"
 )
 
 // DiurnalResult compares auto-scaler policies over a compressed
@@ -26,20 +25,11 @@ func DiurnalData(o Options) (DiurnalResult, error) {
 
 // DiurnalDataCtx is DiurnalData honoring ctx: a cancelled context
 // stops the in-flight policy simulation at the kernel's next event
-// batch instead of finishing the simulated day. The three policy runs
-// share only the read-only diurnal phase list, so they fan out
-// through sweep.Map under o.Workers, each publishing telemetry into a
-// per-policy child scope.
+// batch instead of finishing the simulated day. The three policies fan
+// out through runPolicies under o.Workers.
 func DiurnalDataCtx(ctx context.Context, o Options) (DiurnalResult, error) {
-	phases := autoscaler.DiurnalPhases(300, 3300, o.DurationOr(3600), 120)
-	policies := []autoscaler.Policy{autoscaler.Baseline, autoscaler.OCE, autoscaler.OCA}
-	results, err := sweep.Map(ctx, len(policies), sweep.Options{Workers: o.Workers, Tel: o.Tel},
-		func(ctx context.Context, i int) (*autoscaler.Result, error) {
-			cfg := autoscaler.DefaultConfig(policies[i], phases)
-			cfg.Seed = o.SeedOr(3)
-			cfg.Tel = o.Tel.Child(policies[i].String())
-			return autoscaler.RunCtx(ctx, cfg)
-		})
+	results, err := runPolicies(ctx, o, autoscaler.DiurnalPhases(300, 3300, o.DurationOr(3600), 120),
+		autoscaler.Baseline, autoscaler.OCE, autoscaler.OCA)
 	if err != nil {
 		return DiurnalResult{}, err
 	}

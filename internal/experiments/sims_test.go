@@ -201,11 +201,11 @@ func TestFig15AndTableXIRender(t *testing.T) {
 	if _, err := Fig15(Options{}); err != nil {
 		t.Fatal(err)
 	}
-	tbl, res, err := TableXI(Options{})
+	res, err := serialTableXI()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 3 {
+	if tbl := tableXITable(res); len(tbl.Rows) != 3 {
 		t.Fatalf("Table XI rows %d", len(tbl.Rows))
 	}
 	if res.OCA.MaxVMs >= res.Baseline.MaxVMs {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"immersionoc/internal/queueing"
@@ -108,6 +109,35 @@ func TestFig13WorkersEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatal("fig13 cells diverge between serial and 8-wide runs")
+	}
+}
+
+// serialTableXI is the published serial Table XI run, made once per
+// test binary: TestFig15AndTableXIRender renders it and
+// TestTableXIWorkersEquivalence compares the fanned-out arms with it,
+// so the package pays for one serial run (~90 s under -race on two
+// CPUs), not two.
+var serialTableXI = sync.OnceValues(func() (TableXIResult, error) {
+	return TableXIData(Options{})
+})
+
+// TestTableXIWorkersEquivalence: the three Table XI policy arms
+// (shared by table11 and fig16) return identical results serially and
+// fanned out 4-wide.
+func TestTableXIWorkersEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("auto-scaler runs in -short mode")
+	}
+	serial, err := serialTableXI()
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := TableXIDataCtx(context.Background(), Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, par) {
+		t.Fatal("Table XI arms diverge between serial and 4-wide runs")
 	}
 }
 

@@ -49,16 +49,15 @@ func acquireChunk(class int) []float64 {
 // It is intended for simulation-scale sample counts (millions), where
 // keeping every sample is cheap and exactness keeps the reproduced
 // tables stable across runs. Storage is a list of pooled fixed-size
-// chunks; quantile queries sort each chunk in place and select order
-// statistics with a k-way merge, so results are identical to sorting
-// one flat buffer.
+// chunks that queries only read: each query selects its order
+// statistics in expected linear time (see orderStats), so results are
+// identical to indexing one flat buffer sorted with sort.Float64s.
 type Digest struct {
 	chunks [][]float64
 	// active indexes the chunk currently receiving samples; chunks
 	// past it are pre-acquired (Reserve) or retained (Reset) capacity.
 	active int
 	count  int
-	sorted bool
 	sum    float64
 }
 
@@ -96,7 +95,6 @@ func (d *Digest) Add(v float64) {
 		d.active++
 	}
 	d.count++
-	d.sorted = false
 	d.sum += v
 }
 
@@ -138,7 +136,6 @@ func (d *Digest) Reset() {
 	}
 	d.active = 0
 	d.count = 0
-	d.sorted = false
 	d.sum = 0
 }
 
@@ -154,114 +151,97 @@ func (d *Digest) Release() {
 	d.chunks = d.chunks[:0]
 	d.active = 0
 	d.count = 0
-	d.sorted = false
 	d.sum = 0
 }
 
-// ensureSorted sorts each chunk in place. Chunk contents are a
-// partition of the samples, so per-chunk sorting plus merge-selection
-// in the query paths reproduces flat-sorted order exactly.
-func (d *Digest) ensureSorted() {
-	if !d.sorted {
-		for _, c := range d.chunks {
-			sort.Float64s(c)
-		}
-		d.sorted = true
-	}
-}
+// selectSample is the size of the strided sample that brackets a
+// wanted rank. Digests under 16·selectSample sample every 16th value
+// instead.
+const selectSample = 1 << 14
 
-// orderStats returns the k-th and (k+1)-th smallest samples (0-based),
-// merging the sorted chunks from whichever end is nearer the rank. If
-// k is the last rank both returns are the k-th sample. Precondition:
-// chunks are sorted and 0 <= k < count.
+// orderStats returns the k-th and (k+1)-th smallest samples (0-based,
+// the latter clamped to the last rank) in sort.Float64s order, NaNs
+// first. It selects rather than sorts (Floyd & Rivest, "Expected time
+// bounds for selection", CACM 1975): a strided sample of the chunks
+// brackets the ranks between two sample values a and b, one pass counts
+// the NaNs and the samples below a and copies those in [a, b] into a
+// window, and only the window is sorted. A bracket that misses a rank
+// widens on that side, opening to ±Inf past the sample's ends where it
+// cannot miss, and the pass repeats: a miss costs time but never
+// changes the answer. Chunks are only read. Precondition:
+// 0 <= k < count.
 func (d *Digest) orderStats(k int) (float64, float64) {
-	if k+1 < d.count-k {
-		return d.mergeSelect(k, false)
-	}
-	if k == d.count-1 {
-		v, _ := d.mergeSelect(0, true)
-		return v, v
-	}
-	// Descending, the (k+1)-th smallest pops first (rank count-2-k
-	// from the top) and the k-th smallest pops right after it.
-	hi, lo := d.mergeSelect(d.count-2-k, true)
-	return lo, hi
-}
-
-// mergeSelect pops r+2 elements off a k-way merge of the sorted chunks
-// and returns the r-th and (r+1)-th popped (the latter clamped to the
-// r-th at the end of the data). desc merges largest-first, so rank r
-// counts from the top.
-func (d *Digest) mergeSelect(r int, desc bool) (float64, float64) {
-	// cur[i] is how many elements chunk i has already yielded.
-	cur := make([]int, len(d.chunks))
-	head := func(i int) float64 {
-		c := d.chunks[i]
-		if desc {
-			return c[len(c)-1-cur[i]]
+	n := d.count
+	k2 := min(k+1, n-1)
+	stride := max(n/selectSample, 16)
+	sample := make([]float64, 0, n/stride+1)
+	j := 0
+	for _, c := range d.chunks {
+		for ; j < len(c); j += stride {
+			sample = append(sample, c[j])
 		}
-		return c[cur[i]]
+		j -= len(c)
 	}
-	// h is a binary min-heap (max-heap when desc) of chunk indices
-	// ordered by their next unyielded element.
-	h := make([]int, 0, len(d.chunks))
-	before := func(a, b int) bool {
-		if desc {
-			return head(a) > head(b)
+	sort.Float64s(sample)
+	m := len(sample)
+	// bound maps a sample index to a bracket value; indices past either
+	// end open the bracket. A NaN bound (NaNs sort first) counts nothing
+	// below it and admits nothing up to it: it can only cost passes.
+	bound := func(i int) float64 {
+		switch {
+		case i < 0:
+			return math.Inf(-1)
+		case i >= m:
+			return math.Inf(1)
 		}
-		return head(a) < head(b)
+		return sample[i]
 	}
-	up := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !before(h[i], h[p]) {
-				break
+	// Rank k lands near index p·m of the sorted sample, within a few
+	// binomial standard deviations.
+	p := float64(k) / float64(n)
+	mid, slack := int(p*float64(m)), int(3*math.Sqrt(float64(m)*p*(1-p)))+2
+	ia, ib := mid-slack, mid+slack
+	// Each sample gap spans stride samples; the window gets room for
+	// half as many again as its 2·slack gaps should hold.
+	window := make([]float64, 0, min(n, 3*slack*stride))
+	for {
+		a, b := bound(ia), bound(ib)
+		below, nan := 0, 0
+		window = window[:0]
+		for _, c := range d.chunks {
+			for _, v := range c {
+				if v < a {
+					below++
+				} else if v <= b {
+					window = append(window, v)
+				} else if v != v {
+					nan++
+				}
 			}
-			h[i], h[p] = h[p], h[i]
-			i = p
 		}
-	}
-	down := func() {
-		i := 0
-		for {
-			l, rgt := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && before(h[l], h[m]) {
-				m = l
+		// Ranks [0, nan) are NaN, the next below lie under a and the
+		// window holds ranks [start, start+len(window)).
+		start := nan + below
+		if k2 < nan {
+			return math.NaN(), math.NaN()
+		}
+		missLow, missHigh := max(k, nan) < start, k2 >= start+len(window)
+		if !missLow && !missHigh {
+			sort.Float64s(window)
+			vk := math.NaN()
+			if k >= nan {
+				vk = window[k-start]
 			}
-			if rgt < len(h) && before(h[rgt], h[m]) {
-				m = rgt
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
+			return vk, window[k2-start]
 		}
+		if missLow {
+			ia -= slack
+		}
+		if missHigh {
+			ib += slack
+		}
+		slack *= 2
 	}
-	for i, c := range d.chunks {
-		if len(c) > 0 {
-			h = append(h, i)
-			up(len(h) - 1)
-		}
-	}
-	var a, b float64
-	for popped := 0; popped <= r+1 && len(h) > 0; popped++ {
-		top := h[0]
-		v := head(top)
-		if popped == r {
-			a, b = v, v
-		} else if popped == r+1 {
-			b = v
-		}
-		cur[top]++
-		if cur[top] == len(d.chunks[top]) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		down()
-	}
-	return a, b
 }
 
 // Quantile returns the q-quantile (q in [0,1]) using linear
@@ -270,18 +250,13 @@ func (d *Digest) Quantile(q float64) float64 {
 	if d.count == 0 {
 		return 0
 	}
-	if q < 0 || q > 1 {
+	if !(q >= 0 && q <= 1) {
 		panic(fmt.Sprintf("stats: quantile %v out of [0,1]", q))
-	}
-	d.ensureSorted()
-	if d.count == 1 {
-		return d.chunks[0][0]
 	}
 	pos := q * float64(d.count-1)
 	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
 	vlo, vhi := d.orderStats(lo)
-	if lo == hi {
+	if float64(lo) == pos {
 		return vlo
 	}
 	frac := pos - float64(lo)
@@ -294,35 +269,11 @@ func (d *Digest) P95() float64 { return d.Quantile(0.95) }
 // P99 returns the 99th percentile.
 func (d *Digest) P99() float64 { return d.Quantile(0.99) }
 
-// Max returns the largest sample (0 for empty).
-func (d *Digest) Max() float64 {
-	if d.count == 0 {
-		return 0
-	}
-	d.ensureSorted()
-	m := math.Inf(-1)
-	for _, c := range d.chunks {
-		if len(c) > 0 && c[len(c)-1] > m {
-			m = c[len(c)-1]
-		}
-	}
-	return m
-}
+// Max returns the largest sample, Quantile(1) (0 for empty).
+func (d *Digest) Max() float64 { return d.Quantile(1) }
 
-// Min returns the smallest sample (0 for empty).
-func (d *Digest) Min() float64 {
-	if d.count == 0 {
-		return 0
-	}
-	d.ensureSorted()
-	m := math.Inf(1)
-	for _, c := range d.chunks {
-		if len(c) > 0 && c[0] < m {
-			m = c[0]
-		}
-	}
-	return m
-}
+// Min returns the smallest sample, Quantile(0) (0 for empty).
+func (d *Digest) Min() float64 { return d.Quantile(0) }
 
 // Stddev returns the population standard deviation.
 func (d *Digest) Stddev() float64 {

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -76,12 +77,33 @@ func TestDigestStddev(t *testing.T) {
 func TestDigestQuantileOutOfRangePanics(t *testing.T) {
 	d := NewDigest()
 	d.Add(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("q=1.5 did not panic")
-		}
-	}()
-	d.Quantile(1.5)
+	// NaN fails both comparisons of a q < 0 || q > 1 check.
+	for _, q := range []float64{-0.1, 1.5, math.NaN()} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "out of [0,1]") {
+					t.Fatalf("q=%v: recovered %q, want the out-of-range panic", q, msg)
+				}
+			}()
+			d.Quantile(q)
+		}()
+	}
+}
+
+// TestDigestMinMaxMatchQuantileEnds: Min and Max are Quantile(0) and
+// Quantile(1) in sort.Float64s order, where NaNs sort first, so NaNs
+// make the minimum NaN.
+func TestDigestMinMaxMatchQuantileEnds(t *testing.T) {
+	d := NewDigest()
+	for _, v := range []float64{math.NaN(), 1, 2, math.NaN(), 3} {
+		d.Add(v)
+	}
+	if lo, q0 := d.Min(), d.Quantile(0); !math.IsNaN(lo) || !math.IsNaN(q0) {
+		t.Fatalf("Min() = %v, Quantile(0) = %v, want NaN", lo, q0)
+	}
+	if hi, q1 := d.Max(), d.Quantile(1); hi != 3 || q1 != 3 {
+		t.Fatalf("Max() = %v, Quantile(1) = %v, want 3", hi, q1)
+	}
 }
 
 // Property: digest quantiles bracket the data and are monotone in q.
@@ -121,52 +143,110 @@ func TestDigestQuantileProperty(t *testing.T) {
 }
 
 // TestDigestChunkedMatchesFlatSort is the differential gate for the
-// chunked storage: across several chunk boundaries (tiered sizes
-// included), every quantile must be bit-identical to indexing one
-// flat sorted buffer, interleaved with adds after queries.
+// chunked storage and the selection behind every query: across chunk
+// boundaries (tiered sizes included), sizes on both sides of
+// 16·selectSample and adversarial layouts, every quantile and
+// Min/Max must equal indexing one flat buffer sorted with
+// sort.Float64s (NaNs first, NaN matching NaN), with adds interleaved
+// after queries.
 func TestDigestChunkedMatchesFlatSort(t *testing.T) {
-	d := NewDigest()
 	r := uint64(0x9e3779b97f4a7c15)
-	next := func() float64 {
+	rnd := func() uint64 {
 		r ^= r << 13
 		r ^= r >> 7
 		r ^= r << 17
-		return float64(r%1000000) / 997.0
+		return r
 	}
-	var flat []float64
-	check := func() {
-		sorted := append([]float64(nil), flat...)
-		sort.Float64s(sorted)
-		for _, q := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1} {
-			pos := q * float64(len(sorted)-1)
-			lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
-			want := sorted[lo]
-			if lo != hi {
-				frac := pos - float64(lo)
-				want = sorted[lo]*(1-frac) + sorted[hi]*frac
+	next := func() float64 { return float64(rnd()%1000000) / 997.0 }
+	layouts := []struct {
+		name string
+		gen  func(i int) float64
+	}{
+		{"random", func(int) float64 { return next() }},
+		{"all-equal", func(int) float64 { return 42 }},
+		{"five-distinct", func(int) float64 { return float64(rnd() % 5) }},
+		{"ascending", func(i int) float64 { return float64(i) }},
+		{"descending", func(i int) float64 { return -float64(i) }},
+		// Every sampling stride below is even (16, then 18 at 300k),
+		// so every sampled position holds 500, mid-range of the other
+		// values: the bracket collapses onto that block and must widen
+		// down for the ranks below it and up for those above.
+		{"stride-equal", func(i int) float64 {
+			if i%2 == 0 {
+				return 500
 			}
-			if got := d.Quantile(q); got != want {
-				t.Fatalf("n=%d Quantile(%v) = %v, want %v", len(sorted), q, got, want)
+			return next()
+		}},
+		{"nan-mixed", func(int) float64 {
+			if rnd()%10 == 0 {
+				return math.NaN()
+			}
+			return next()
+		}},
+		{"inf-zero", func(int) float64 {
+			switch rnd() % 6 {
+			case 0:
+				return math.Inf(-1)
+			case 1:
+				return math.Inf(1)
+			case 2:
+				return math.Copysign(0, -1)
+			case 3:
+				return 0
+			}
+			return next() - 500
+		}},
+	}
+	same := func(a, b float64) bool { return a == b || (a != a && b != b) }
+	for _, l := range layouts {
+		d := NewDigest()
+		var flat []float64
+		check := func() {
+			sorted := append([]float64(nil), flat...)
+			sort.Float64s(sorted)
+			qs := []float64{0, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1}
+			// Half-ranks either side of the end of the NaN block
+			// interpolate from NaN into a number.
+			nan := 0
+			for nan < len(sorted) && math.IsNaN(sorted[nan]) {
+				nan++
+			}
+			for _, i := range []int{nan - 1, nan} {
+				if i >= 0 && i < len(sorted)-1 {
+					qs = append(qs, (float64(i)+0.5)/float64(len(sorted)-1))
+				}
+			}
+			for _, q := range qs {
+				pos := q * float64(len(sorted)-1)
+				lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+				want := sorted[lo]
+				if lo != hi {
+					frac := pos - float64(lo)
+					want = sorted[lo]*(1-frac) + sorted[hi]*frac
+				}
+				if got := d.Quantile(q); !same(got, want) {
+					t.Fatalf("%s n=%d Quantile(%v) = %v, want %v", l.name, len(sorted), q, got, want)
+				}
+			}
+			if !same(d.Min(), sorted[0]) || !same(d.Max(), sorted[len(sorted)-1]) {
+				t.Fatalf("%s n=%d min/max %v/%v, want %v/%v",
+					l.name, len(sorted), d.Min(), d.Max(), sorted[0], sorted[len(sorted)-1])
 			}
 		}
-		if d.Min() != sorted[0] || d.Max() != sorted[len(sorted)-1] {
-			t.Fatalf("n=%d min/max %v/%v, want %v/%v",
-				len(sorted), d.Min(), d.Max(), sorted[0], sorted[len(sorted)-1])
+		// Past 1Ki+2Ki+4Ki the digest spans four chunks of three size
+		// classes; 300k is past 16·selectSample, where the sample size
+		// stops growing. Querying mid-stream checks adds after queries.
+		for _, n := range []int{1, 100, 1500, 4000, 9000, 70000, 300000} {
+			for len(flat) < n {
+				v := l.gen(len(flat))
+				d.Add(v)
+				flat = append(flat, v)
+			}
+			check()
 		}
-	}
-	// Past 1Ki+2Ki+4Ki the digest spans four chunks of three size
-	// classes; query mid-stream to exercise re-sorting partially
-	// filled chunks after adds.
-	for _, n := range []int{1, 100, 1500, 4000, 9000} {
-		for len(flat) < n {
-			v := next()
-			d.Add(v)
-			flat = append(flat, v)
+		if len(d.chunks) < 4 {
+			t.Fatalf("%s: expected multi-chunk storage, got %d chunks", l.name, len(d.chunks))
 		}
-		check()
-	}
-	if len(d.chunks) < 4 {
-		t.Fatalf("expected multi-chunk storage, got %d chunks", len(d.chunks))
 	}
 }
 
@@ -384,5 +464,35 @@ func TestDigestMerge(t *testing.T) {
 	// Sources must be untouched by the merge.
 	if parts[0].Count() != n/3 {
 		t.Fatalf("merge consumed the source digest")
+	}
+}
+
+// quantileSink keeps the benchmarked query from being optimized away.
+var quantileSink float64
+
+// BenchmarkDigestQuantile measures P95 of a freshly filled
+// 1Mi-sample digest. Each op refills the digest with the timer
+// stopped, so no query reuses work from the one before.
+func BenchmarkDigestQuantile(b *testing.B) {
+	vals := make([]float64, 1<<20)
+	r := uint64(0x9e3779b97f4a7c15)
+	for i := range vals {
+		r ^= r << 13
+		r ^= r >> 7
+		r ^= r << 17
+		// Exponential service-time-like latencies.
+		vals[i] = -math.Log(float64(r>>11+1) / (1 << 53))
+	}
+	d := NewDigest()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d.Reset()
+		for _, v := range vals {
+			d.Add(v)
+		}
+		b.StartTimer()
+		quantileSink = d.P95()
 	}
 }
