@@ -259,7 +259,9 @@ func (c *Cluster) explain(s *Server, v *vm.VM, useReserved bool) string {
 	if s.memUse+v.Type.MemoryGB > s.Spec.MemoryGB {
 		return ReasonMemory
 	}
-	if s.vcoresUse+v.Type.VCores > c.vcoreCap(s) {
+	// Vcore checks compare against remaining headroom: the request's
+	// vcores come from a client, and usage + vcores wraps near 2^63.
+	if v.Type.VCores > c.vcoreCap(s)-s.vcoresUse {
 		return ReasonCapacity
 	}
 	// High-performance VMs need overclocking headroom guaranteed:
@@ -268,7 +270,7 @@ func (c *Cluster) explain(s *Server, v *vm.VM, useReserved bool) string {
 		if !s.Spec.Overclockable {
 			return ReasonClass
 		}
-		if s.vcoresUse+v.Type.VCores > s.Spec.PCores {
+		if v.Type.VCores > s.Spec.PCores-s.vcoresUse {
 			return ReasonClass
 		}
 	}
@@ -324,6 +326,11 @@ func (c *Cluster) place(v *vm.VM, useReserved bool) (*Server, error) {
 // the linear scan would pick.
 func (c *Cluster) placeIndexed(v *vm.VM) *Server {
 	want := v.Type.VCores
+	if want > c.idx.capV {
+		// Larger than any server's cap: fits nowhere, and want + over
+		// below could wrap.
+		return nil
+	}
 	minR := want
 	if v.Class == vm.HighPerf {
 		if !c.Spec.Overclockable {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -98,6 +99,46 @@ func TestHighPerfNeedsHeadroom(t *testing.T) {
 	reg := mkVM(3, 4, 16)
 	if _, err := c.Place(reg); err != nil {
 		t.Fatalf("regular VM should fit via oversubscription: %v", err)
+	}
+}
+
+// TestHugeVCoresFitNowhere pins the vcore checks against integer
+// overflow. A VM's vcores come from an API client; added to a loaded
+// server's usage, a value near 2^63 wraps negative and used to pass
+// the capacity check there while failing on every empty server. Such a
+// VM must fail on capacity everywhere — in Explain and in Flat.Explain
+// — and placement must reject it, high-performance class included.
+func TestHugeVCoresFitNowhere(t *testing.T) {
+	c := New(TwoSocketBlade, Policy{CPUOversubRatio: 0.25}, 3)
+	if _, err := c.Place(mkVM(1, 4, 16)); err != nil {
+		t.Fatal(err)
+	}
+	var flat Flat
+	c.ExportFlat(&flat)
+	rejected := 0
+	for _, vcores := range []int{math.MaxInt, math.MaxInt - 1, math.MaxInt - 3} {
+		for _, class := range []vm.Class{vm.Regular, vm.HighPerf} {
+			v := mkVM(2, vcores, 16)
+			v.Class = class
+			for i, s := range c.Servers() {
+				if got := c.Explain(s, v); got != ReasonCapacity {
+					t.Errorf("Explain(server %d, %d vcores, %v) = %q, want %q", i, vcores, class, got, ReasonCapacity)
+				}
+				if got := flat.Explain(i, vcores, 16, class == vm.HighPerf); got != ReasonCapacity {
+					t.Errorf("Flat.Explain(server %d, %d vcores, %v) = %q, want %q", i, vcores, class, got, ReasonCapacity)
+				}
+			}
+			rejected++
+			if s, err := c.Place(v); err == nil {
+				t.Fatalf("%d-vcore %v VM placed on server %d", vcores, class, s.ID)
+			}
+		}
+	}
+	if c.Rejected != rejected {
+		t.Fatalf("rejected %d, want %d", c.Rejected, rejected)
+	}
+	if st := c.Stats(); st.PlacedVMs != 1 || c.Density() != st.Density || st.Density < 0 {
+		t.Fatalf("after rejections: %d VMs, density %v (incremental %v)", st.PlacedVMs, st.Density, c.Density())
 	}
 }
 

@@ -120,14 +120,14 @@ func (f *Flat) Explain(i, vcores int, memoryGB float64, highPerf bool) string {
 	if f.MemoryUsedGB.At(i)+memoryGB > f.Spec.MemoryGB {
 		return ReasonMemory
 	}
-	if f.VCoresUsed.At(i)+vcores > f.VCoreCap {
+	if vcores > f.VCoreCap-f.VCoresUsed.At(i) {
 		return ReasonCapacity
 	}
 	if highPerf {
 		if !f.Spec.Overclockable {
 			return ReasonClass
 		}
-		if f.VCoresUsed.At(i)+vcores > f.Spec.PCores {
+		if vcores > f.Spec.PCores-f.VCoresUsed.At(i) {
 			return ReasonClass
 		}
 	}

@@ -16,8 +16,13 @@
 //     mutation (and after every step chunk) the write plane publishes
 //     an immutable fleetView through an atomic pointer; readers load
 //     the current view and answer entirely from it. Reads never
-//     contend with stepping or with each other, and the read handlers
-//     are allocation-free in steady state (see view.go).
+//     contend with stepping or with each other. Status, metrics and
+//     healthz allocate nothing; filter and prioritize allocate only in
+//     the request decoder, never per server (see view.go).
+//
+// Every POST route, in both planes, reads its body through one
+// decoder, decodeBody: a 1 MiB cap, exactly one encoding/json
+// document, and the wire-version check.
 //
 // See DESIGN.md "Serving performance" for the snapshot lifecycle and
 // the recycling contracts.
@@ -79,7 +84,7 @@ type Daemon struct {
 	// columns, so a publish costs O(what changed), not O(fleet).
 	snap atomic.Pointer[fleetView]
 
-	// scratch pools the per-request read-plane state (decode buffer,
+	// scratch pools the per-request read-plane state (request structs,
 	// response slices, pooled encoder); renderers pools the /metrics
 	// exposition plans. Both recycle via sync.Pool so concurrent
 	// readers never share state.
@@ -179,50 +184,55 @@ func errf(code int, format string, a ...any) error {
 	return &apiError{code: code, msg: fmt.Sprintf(format, a...)}
 }
 
-// post wires a typed request handler: cap and decode the JSON body
-// (rejecting oversized payloads and trailing garbage), check the
-// version tag, run fn with the request context, and encode the
-// response (or an ErrorResponse with the apiError's status). fn owns
-// its locking — most handlers are wrapped by locked, while /v1/step
-// chunks the lock itself.
-func post[Req any, Resp any](d *Daemon, vers func(Req) string, fn func(context.Context, Req) (Resp, error)) http.HandlerFunc {
+// decodeBody is the one request decoder every v1 POST route shares:
+// the read plane calls it directly, the write plane through post. It
+// rejects non-POST methods (405), caps the body at maxBodyBytes (413),
+// decodes exactly one JSON document into req (400 on malformed input
+// or trailing data — a second concatenated document included), and
+// checks the version tag vers reads from it. Returns false with the
+// error response written.
+func decodeBody[Req any](w http.ResponseWriter, r *http.Request, req *Req, vers func(*Req) string) bool {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err := dec.Decode(req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return false
+		}
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return false
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "trailing data after JSON document")
+		return false
+	}
+	if v := vers(req); v != "" && v != api.Version {
+		writeError(w, http.StatusBadRequest, "unsupported version "+v)
+		return false
+	}
+	return true
+}
+
+// post wires a typed request handler: decode the body through
+// decodeBody, run fn with the request context, and encode the response
+// (or an ErrorResponse with the apiError's status). fn owns its
+// locking — most handlers are wrapped by locked, while /v1/step chunks
+// the lock itself.
+func post[Req any, Resp any](d *Daemon, vers func(*Req) string, fn func(context.Context, Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		d.requests.Inc()
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		dec := json.NewDecoder(body)
 		var req Req
-		if err := dec.Decode(&req); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-				return
-			}
-			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-			return
-		}
-		// Exactly one JSON document per request: trailing garbage means
-		// a malformed client (or two concatenated requests) and is
-		// rejected rather than silently ignored.
-		if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-			writeError(w, http.StatusBadRequest, "trailing data after JSON document")
-			return
-		}
-		if v := vers(req); v != "" && v != api.Version {
-			writeError(w, http.StatusBadRequest, "unsupported version "+v)
+		if !decodeBody(w, r, &req, vers) {
 			return
 		}
 		resp, err := fn(r.Context(), req)
 		if err != nil {
-			code := http.StatusInternalServerError
-			if ae, ok := err.(*apiError); ok {
-				code = ae.code
-			}
-			writeError(w, code, err.Error())
+			writeAPIError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, resp)
@@ -251,6 +261,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, api.ErrorResponse{Vers: api.Version, Error: msg})
+}
+
+// writeAPIError renders a handler error with its apiError status (500
+// for any other error).
+func writeAPIError(w http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	if ae, ok := err.(*apiError); ok {
+		code = ae.code
+	}
+	writeError(w, code, err.Error())
 }
 
 // classFromSpec validates a VMSpec and resolves its class tag, sharing
@@ -450,9 +470,9 @@ func (d *Daemon) Handler() http.Handler {
 	mux.HandleFunc("/v1/status", d.serveStatus)
 	mux.HandleFunc("/healthz", d.serveHealthz)
 	mux.HandleFunc("/metrics", d.serveMetrics)
-	mux.HandleFunc("/v1/place", post(d, func(r api.PlaceRequest) string { return r.Vers }, locked(d, d.place)))
-	mux.HandleFunc("/v1/remove", post(d, func(r api.RemoveRequest) string { return r.Vers }, locked(d, d.remove)))
-	mux.HandleFunc("/v1/overclock", post(d, func(r api.OverclockGrantRequest) string { return r.Vers }, locked(d, d.overclock)))
-	mux.HandleFunc("/v1/step", post(d, func(r api.StepRequest) string { return r.Vers }, d.step))
+	mux.HandleFunc("/v1/place", post(d, func(r *api.PlaceRequest) string { return r.Vers }, locked(d, d.place)))
+	mux.HandleFunc("/v1/remove", post(d, func(r *api.RemoveRequest) string { return r.Vers }, locked(d, d.remove)))
+	mux.HandleFunc("/v1/overclock", post(d, func(r *api.OverclockGrantRequest) string { return r.Vers }, locked(d, d.overclock)))
+	mux.HandleFunc("/v1/step", post(d, func(r *api.StepRequest) string { return r.Vers }, d.step))
 	return mux
 }

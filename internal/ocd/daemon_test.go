@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -295,5 +296,43 @@ func TestDaemonRequestValidation(t *testing.T) {
 	od, err := c.Overclock(ctx, api.OverclockGrantRequest{Server: 0})
 	if err != nil || od.Granted || od.Reason != "eq1_threshold" {
 		t.Fatalf("server 0 after rejected placements: %+v, %v; want an eq1_threshold denial", od, err)
+	}
+
+	// vcores near 2^63: added to a loaded server's usage, the sum used
+	// to wrap past the capacity check. Filter listed loaded server 0 as
+	// eligible, and place bound a high-perf VM there, driving density
+	// negative and buying server 0 an overclock grant. Such a VM fits
+	// nowhere, like any VM over the vcore cap.
+	p, err := c.Place(ctx, api.PlaceRequest{VM: api.VMSpec{ID: 60, VCores: 4, MemoryGB: 16, AvgUtil: 0.5}})
+	if err != nil || !p.Placed || p.Server.Index != 0 {
+		t.Fatalf("place 4-vcore VM: %+v, %v; want server 0", p, err)
+	}
+	fr, err := c.Filter(ctx, api.FilterRequest{VM: api.VMSpec{ID: 61, VCores: math.MaxInt64, MemoryGB: 16, AvgUtil: 0.5}})
+	if err != nil || len(fr.Eligible) != 0 || len(fr.Failed) != 12 {
+		t.Errorf("filter MaxInt64 vcores: %v; eligible %+v, want every server failed", err, fr.Eligible)
+	}
+	for _, f := range fr.Failed {
+		if f.Reason != "capacity" {
+			t.Errorf("filter MaxInt64 vcores: server %d failed on %q, want capacity", f.Server.Index, f.Reason)
+		}
+	}
+	before, err := c.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := api.VMSpec{ID: 62, VCores: math.MaxInt64 - 1, MemoryGB: 16, Class: "high-perf", AvgUtil: 0.5}
+	if p, err := c.Place(ctx, api.PlaceRequest{VM: huge}); err != nil || p.Placed {
+		t.Fatalf("place MaxInt64-1 vcores: %+v, %v; want placed:false", p, err)
+	}
+	after, err := c.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Rejected != before.Rejected+1 || after.PlacedVMs != 1 || after.Density != before.Density {
+		t.Fatalf("status after the huge placement: %+v; want rejected %d, 1 VM, density %v",
+			after, before.Rejected+1, before.Density)
+	}
+	if od, err := c.Overclock(ctx, api.OverclockGrantRequest{Server: 0}); err != nil || od.Granted {
+		t.Fatalf("server 0 after the huge placement: %+v, %v; want a denial", od, err)
 	}
 }

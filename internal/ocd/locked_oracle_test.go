@@ -25,9 +25,9 @@ import (
 // and sends every other request to d.Handler().
 func lockedHandler(d *Daemon) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/filter", post(d, func(r api.FilterRequest) string { return r.Vers },
+	mux.HandleFunc("/v1/filter", post(d, func(r *api.FilterRequest) string { return r.Vers },
 		underLock(d, d.filterLocked)))
-	mux.HandleFunc("/v1/prioritize", post(d, func(r api.PrioritizeRequest) string { return r.Vers },
+	mux.HandleFunc("/v1/prioritize", post(d, func(r *api.PrioritizeRequest) string { return r.Vers },
 		underLock(d, d.prioritizeLocked)))
 	mux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {
 		d.requests.Inc()

@@ -1,13 +1,16 @@
 package ocd
 
-// Serving-path benchmarks. The per-endpoint benchmarks drive the
-// snapshot handlers directly (no mux, no network) against a
-// 1000-server fleet so the number measured is the daemon's own work;
-// BenchmarkServingFilter and BenchmarkServingStatus are the PR's
-// 0 allocs/op gates. BenchmarkServingMixedReadWhileStepping is the
-// headline A/B: parallel readers against a stepper that holds the
-// write lock, once through lockedHandler (the old serving path, kept
-// as the test oracle) and once with snapshot reads.
+// Serving-path benchmarks and the allocation contract they report. The
+// per-endpoint benchmarks drive the snapshot handlers directly (no mux,
+// no network) against a 1000-server fleet so the number measured is
+// the daemon's own work. TestServingAllocs asserts the allocation
+// contract on the same calls: status, metrics and healthz allocate
+// nothing, and filter and prioritize allocate only in the request
+// decoder, the same count at any fleet size.
+// BenchmarkServingMixedReadWhileStepping is the headline A/B: parallel
+// readers against a stepper that holds the write lock, once through
+// lockedHandler (the old serving path, kept as the test oracle) and
+// once with snapshot reads.
 
 import (
 	"bytes"
@@ -44,10 +47,10 @@ func (b *benchBody) Close() error               { return nil }
 
 // benchDaemon builds a fleet and packs it ~60% full so filter answers
 // carry both eligible and failed entries — the realistic, worst-case
-// response shape. The per-endpoint benchmarks use 1000 servers (the
-// 0 allocs/op gate size); the mixed benchmark scales up to fleet size,
-// where the O(fleet) cost of locked reads is the story.
-func benchDaemon(b *testing.B, servers int) *Daemon {
+// response shape. The per-endpoint benchmarks use 1000 servers; the
+// mixed benchmark scales up to fleet size, where the O(fleet) cost of
+// locked reads is the story.
+func benchDaemon(b testing.TB, servers int) *Daemon {
 	b.Helper()
 	cfg := dcsim.DefaultConfig()
 	cfg.Servers = servers
@@ -85,10 +88,10 @@ var (
 	benchStepBody = []byte(`{"steps":10}`)
 )
 
-// benchServe measures one snapshot endpoint called directly, with the
-// request body and writer recycled every iteration.
-func benchServe(b *testing.B, method, path string, payload []byte, fn func(*Daemon, http.ResponseWriter, *http.Request)) {
-	d := benchDaemon(b, 1000)
+// serveCall prepares one snapshot endpoint for direct calls: each call
+// of the returned func recycles the request body and writer, serves
+// once, and fails tb on a non-200 answer.
+func serveCall(tb testing.TB, d *Daemon, method, path string, payload []byte, fn func(*Daemon, http.ResponseWriter, *http.Request)) func() {
 	req := httptest.NewRequest(method, path, nil)
 	var body *benchBody
 	if payload != nil {
@@ -96,17 +99,25 @@ func benchServe(b *testing.B, method, path string, payload []byte, fn func(*Daem
 		req.Body = body
 	}
 	w := newBenchRW()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if body != nil {
 			body.r.Reset(payload)
 		}
 		w.code = 0
 		fn(d, w, req)
 		if w.code != 0 && w.code != http.StatusOK {
-			b.Fatalf("%s: HTTP %d", path, w.code)
+			tb.Fatalf("%s: HTTP %d", path, w.code)
 		}
+	}
+}
+
+// benchServe measures one snapshot endpoint called directly.
+func benchServe(b *testing.B, method, path string, payload []byte, fn func(*Daemon, http.ResponseWriter, *http.Request)) {
+	call := serveCall(b, benchDaemon(b, 1000), method, path, payload, fn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call()
 	}
 }
 
@@ -124,6 +135,48 @@ func BenchmarkServingStatus(b *testing.B) {
 
 func BenchmarkServingMetrics(b *testing.B) {
 	benchServe(b, http.MethodGet, "/metrics", nil, (*Daemon).serveMetrics)
+}
+
+// raceEnabled is set under -race (race_test.go), where sync.Pool drops
+// a random share of Puts and pooled-path allocation counts are noise.
+var raceEnabled bool
+
+// TestServingAllocs pins the serving allocation contract on the calls
+// the benchmarks above make, once the pools are warm: status, metrics
+// and healthz allocate nothing per request, and filter and prioritize
+// allocate the same count at 1,000 and 4,000 servers — only the
+// request decoder allocates, and the response path stays pooled
+// however long the answer.
+func TestServingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	small, large := benchDaemon(t, 1000), benchDaemon(t, 4000)
+	for _, ep := range []struct {
+		method, path string
+		payload      []byte // nil for the GET routes, which must not allocate
+		fn           func(*Daemon, http.ResponseWriter, *http.Request)
+	}{
+		{http.MethodGet, "/v1/status", nil, (*Daemon).serveStatus},
+		{http.MethodGet, "/metrics", nil, (*Daemon).serveMetrics},
+		{http.MethodGet, "/healthz", nil, (*Daemon).serveHealthz},
+		{http.MethodPost, "/v1/filter", benchFilterBody, (*Daemon).serveFilter},
+		{http.MethodPost, "/v1/prioritize", benchPrioritizeBody, (*Daemon).servePrioritize},
+	} {
+		var n [2]float64
+		for i, d := range []*Daemon{small, large} {
+			call := serveCall(t, d, ep.method, ep.path, ep.payload, ep.fn)
+			call() // warm the scratch and encoder pools
+			n[i] = testing.AllocsPerRun(100, call)
+		}
+		t.Logf("%s: %v allocs/op at 1,000 servers, %v at 4,000", ep.path, n[0], n[1])
+		if ep.payload == nil && n != [2]float64{} {
+			t.Errorf("%s allocates: %v allocs/op at 1,000 servers, %v at 4,000; want 0", ep.path, n[0], n[1])
+		}
+		if n[0] != n[1] {
+			t.Errorf("%s allocations grow with the fleet: %v at 1,000 servers vs %v at 4,000", ep.path, n[0], n[1])
+		}
+	}
 }
 
 // BenchmarkServingMixedReadWhileStepping measures read throughput

@@ -58,6 +58,54 @@ func hit(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
 	return rec
 }
 
+// readCorpus is the twin test's read corpus: valid requests across
+// classes and shapes, plus every decode/validation error the read plane
+// can produce. Both planes decode through decodeBody, so the malformed
+// entries pin what each read handler does after the decoder: the order
+// of its validation errors and their exact bytes. FuzzHandler seeds
+// from it too.
+var readCorpus = []struct{ method, path, body string }{
+	{"POST", "/v1/filter", `{"version":"v1","vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":0.5}}`},
+	{"POST", "/v1/filter", `{"vm":{"id":2,"vcores":16,"memory_gb":64,"class":"high-perf","avg_util":0.9,"scalable_fraction":0.5}}`},
+	{"POST", "/v1/filter", `{"vm":{"id":3,"vcores":2,"memory_gb":8,"class":"harvest","avg_util":0.1}}`},
+	{"POST", "/v1/filter", `{"vm":{"id":4,"vcores":48,"memory_gb":512,"avg_util":0.2}}`},
+	{"POST", "/v1/filter", ` { "vm" : { "id" : 5 , "vcores" : 4 , "memory_gb" : 1e1 , "avg_util" : 2.5e-1 } } `},
+	{"POST", "/v1/filter", `{"vm":{"id":1},"vm":{"vcores":4,"memory_gb":16,"avg_util":0.5}}`}, // duplicate key merge
+	{"POST", "/v1/filter", `{"vm":{"id":6,"vcores":4,"memory_gb":16,"avg_util":0.5},"extra":[1,{"x":"y\n"}]}`},
+	{"POST", "/v1/filter", `{"version":"v1","vm":{"id":7,"vcores":4,"memory_gb":16,"avg_util":0.5}}`},
+	{"POST", "/v1/filter", `{"version":"v2","vm":{"id":1,"vcores":4,"memory_gb":16}}`},
+	{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":0,"memory_gb":16}}`},
+	{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"class":"turbo"}}`},
+	{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":1e308}}`},
+	{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":-0.1}}`},
+	{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":1,"scalable_fraction":1.5}}`},
+	{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":0.5,"scalable_fraction":-1e-9}}`},
+	{"POST", "/v1/filter", `{"vm":{"id":1.5,"vcores":4,"memory_gb":16}}`},
+	{"POST", "/v1/filter", `{"vm":{"id":01,"vcores":4,"memory_gb":16}}`},
+	{"POST", "/v1/filter", `{"vm":{"class":null,"id":1,"vcores":4,"memory_gb":16,"avg_util":0.5}}`},
+	{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16}} trailing`},
+	{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16}}{"vm":{}}`},
+	{"POST", "/v1/filter", `{`},
+	{"POST", "/v1/filter", `null`},
+	{"POST", "/v1/filter", `5`},
+	{"POST", "/v1/filter", ``},
+	{"GET", "/v1/filter", ""},
+	{"POST", "/v1/prioritize", `{"version":"v1","vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":0.5},"servers":[0,1,2,3,4,5,6,7,8,9,10,11]}`},
+	{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":8,"memory_gb":32,"avg_util":0.7},"servers":[11,3,3,0]}`},
+	{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[]}`},
+	{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[0],"servers":[2,5]}`},
+	{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[12]}`},
+	{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[-1]}`},
+	{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[1e2]}`},
+	{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[0,]}`},
+	{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":2},"servers":[0]}`},
+	{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"scalable_fraction":7},"servers":[0]}`},
+	{"GET", "/v1/status", ""},
+	{"POST", "/v1/status", ""},
+	{"GET", "/healthz", ""},
+	{"GET", "/metrics", ""},
+}
+
 // TestSnapshotMatchesLockedReads is the end-to-end differential: a
 // mutation-heavy session interleaved with a read corpus spanning every
 // read endpoint, every request class, and the whole decode error
@@ -78,56 +126,9 @@ func TestSnapshotMatchesLockedReads(t *testing.T) {
 		}
 	}
 
-	// The read corpus: valid requests across classes and shapes, plus
-	// every decode/validation error the read plane can produce. The
-	// malformed entries double as the fast-parser differential — each
-	// must fall back to the strict pipeline and reproduce its exact
-	// error bytes.
-	reads := []struct{ method, path, body string }{
-		{"POST", "/v1/filter", `{"version":"v1","vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":0.5}}`},
-		{"POST", "/v1/filter", `{"vm":{"id":2,"vcores":16,"memory_gb":64,"class":"high-perf","avg_util":0.9,"scalable_fraction":0.5}}`},
-		{"POST", "/v1/filter", `{"vm":{"id":3,"vcores":2,"memory_gb":8,"class":"harvest","avg_util":0.1}}`},
-		{"POST", "/v1/filter", `{"vm":{"id":4,"vcores":48,"memory_gb":512,"avg_util":0.2}}`},
-		{"POST", "/v1/filter", ` { "vm" : { "id" : 5 , "vcores" : 4 , "memory_gb" : 1e1 , "avg_util" : 2.5e-1 } } `},
-		{"POST", "/v1/filter", `{"vm":{"id":1},"vm":{"vcores":4,"memory_gb":16,"avg_util":0.5}}`}, // duplicate key merge
-		{"POST", "/v1/filter", `{"vm":{"id":6,"vcores":4,"memory_gb":16,"avg_util":0.5},"extra":[1,{"x":"y\n"}]}`},
-		{"POST", "/v1/filter", `{"version":"v1","vm":{"id":7,"vcores":4,"memory_gb":16,"avg_util":0.5}}`},
-		{"POST", "/v1/filter", `{"version":"v2","vm":{"id":1,"vcores":4,"memory_gb":16}}`},
-		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":0,"memory_gb":16}}`},
-		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"class":"turbo"}}`},
-		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":1e308}}`},
-		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":-0.1}}`},
-		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":1,"scalable_fraction":1.5}}`},
-		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":0.5,"scalable_fraction":-1e-9}}`},
-		{"POST", "/v1/filter", `{"vm":{"id":1.5,"vcores":4,"memory_gb":16}}`},
-		{"POST", "/v1/filter", `{"vm":{"id":01,"vcores":4,"memory_gb":16}}`},
-		{"POST", "/v1/filter", `{"vm":{"class":null,"id":1,"vcores":4,"memory_gb":16,"avg_util":0.5}}`},
-		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16}} trailing`},
-		{"POST", "/v1/filter", `{"vm":{"id":1,"vcores":4,"memory_gb":16}}{"vm":{}}`},
-		{"POST", "/v1/filter", `{`},
-		{"POST", "/v1/filter", `null`},
-		{"POST", "/v1/filter", `5`},
-		{"POST", "/v1/filter", ``},
-		{"GET", "/v1/filter", ""},
-		{"POST", "/v1/prioritize", `{"version":"v1","vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":0.5},"servers":[0,1,2,3,4,5,6,7,8,9,10,11]}`},
-		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":8,"memory_gb":32,"avg_util":0.7},"servers":[11,3,3,0]}`},
-		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[]}`},
-		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[0],"servers":[2,5]}`},
-		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[12]}`},
-		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[-1]}`},
-		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[1e2]}`},
-		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[0,]}`},
-		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"avg_util":2},"servers":[0]}`},
-		{"POST", "/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16,"scalable_fraction":7},"servers":[0]}`},
-		{"GET", "/v1/status", ""},
-		{"POST", "/v1/status", ""},
-		{"GET", "/healthz", ""},
-		{"GET", "/metrics", ""},
-	}
-
 	checkpoint := func(stage string) {
 		t.Helper()
-		for _, rd := range reads {
+		for _, rd := range readCorpus {
 			a := hit(hSnap, rd.method, rd.path, rd.body)
 			b := hit(hLocked, rd.method, rd.path, rd.body)
 			if a.Code != b.Code {
@@ -225,113 +226,28 @@ func TestSnapshotMatchesLockedReads(t *testing.T) {
 	}
 }
 
-// TestDecodeFastMatchesStrict differentially pins the fast parser
-// against encoding/json at the parser level: for every corpus entry
-// the fast path either declines or produces exactly the struct the
-// strict pipeline does.
-func TestDecodeFastMatchesStrict(t *testing.T) {
-	filterBodies := []string{
-		`{"version":"v1","vm":{"id":9,"vcores":4,"memory_gb":16,"class":"high-perf","avg_util":0.45,"scalable_fraction":0.6}}`,
-		`{"vm":{"id":-3,"vcores":1,"memory_gb":0.5,"avg_util":1}}`,
-		`{}`,
-		` {"vm":{}} `,
-		`{"vm":{"id":0,"vcores":2,"memory_gb":8,"avg_util":1e-3}}`,
-		`{"vm":{"id":1},"vm":{"vcores":7}}`,
-		`{"vm":{"id":2147483647,"vcores":4,"memory_gb":1.7976931348623157e308}}`,
-		`{"version":"","vm":{"id":1,"vcores":4,"memory_gb":16}}`,
-		`{"vm":{"id":1,"vcores":4,"memory_gb":16,"class":"harvest"}}`,
-		`{"vm":{"id":1,"vcores":4,"memory_gb":-0.0}}`,
-	}
-	for _, body := range filterBodies {
-		var fast, strict api.FilterRequest
-		if !parseFilterRequest([]byte(body), &fast) {
-			t.Fatalf("fast parser declined the common wire form %q", body)
+// TestPooledRequestsStartClean pins the read plane's request reuse:
+// filter and prioritize decode into pooled structs, so whatever a body
+// leaves out — an omitted field, or a null that encoding/json skips —
+// must read as it does in the locked oracle's fresh struct, never as
+// an earlier request's value.
+func TestPooledRequestsStartClean(t *testing.T) {
+	dSnap, dLocked := twinDaemons(t, testFleet())
+	hSnap, hLocked := dSnap.Handler(), lockedHandler(dLocked)
+	for _, rd := range []struct{ path, body string }{
+		{"/v1/filter", `{"version":"v1","vm":{"id":1,"vcores":4,"memory_gb":1000,"class":"high-perf","avg_util":0.5}}`},
+		{"/v1/filter", `{"vm":{"id":2,"vcores":4}}`},
+		{"/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[5,6,7,8]}`},
+		{"/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[null,null]}`},
+		{"/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[9,10,11],"servers":[null]}`},
+		{"/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[11,10]}`},
+		{"/v1/prioritize", `{"vm":{"id":1,"vcores":4,"memory_gb":16}}`},
+	} {
+		a := hit(hSnap, http.MethodPost, rd.path, rd.body)
+		b := hit(hLocked, http.MethodPost, rd.path, rd.body)
+		if a.Code != b.Code || !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
+			t.Fatalf("%s %s diverged:\nsnapshot: HTTP %d %s\nlocked:   HTTP %d %s",
+				rd.path, rd.body, a.Code, a.Body.String(), b.Code, b.Body.String())
 		}
-		if err := json.Unmarshal([]byte(body), &strict); err != nil {
-			t.Fatalf("strict decode of %q: %v", body, err)
-		}
-		if fast != strict {
-			t.Fatalf("decode of %q diverged:\nfast:   %+v\nstrict: %+v", body, fast, strict)
-		}
-	}
-
-	prioritizeBodies := []string{
-		`{"version":"v1","vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[0,5,3]}`,
-		`{"vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[]}`,
-		`{"servers":[1],"servers":[7,8,9]}`,
-		`{"servers":[ 0 , 1 ]}`,
-	}
-	for _, body := range prioritizeBodies {
-		fast := api.PrioritizeRequest{Servers: make([]int, 0, 16)}
-		var strict api.PrioritizeRequest
-		if !parsePrioritizeRequest([]byte(body), &fast) {
-			t.Fatalf("fast parser declined the common wire form %q", body)
-		}
-		if err := json.Unmarshal([]byte(body), &strict); err != nil {
-			t.Fatalf("strict decode of %q: %v", body, err)
-		}
-		if fast.Vers != strict.Vers || fast.VM != strict.VM ||
-			len(fast.Servers) != len(strict.Servers) {
-			t.Fatalf("decode of %q diverged:\nfast:   %+v\nstrict: %+v", body, fast, strict)
-		}
-		for i := range fast.Servers {
-			if fast.Servers[i] != strict.Servers[i] {
-				t.Fatalf("decode of %q diverged at servers[%d]", body, i)
-			}
-		}
-	}
-
-	// Everything here must be DECLINED (never mis-parsed): inputs the
-	// strict pipeline rejects, plus valid JSON outside the fast subset.
-	declined := []string{
-		``, `null`, `5`, `"x"`, `[]`, `{`, `{"vm":}`,
-		`{"vm":{"id":1}} x`, `{"vm":{"id":1}}{"vm":{}}`,
-		`{"vm":{"id":1.5}}`, `{"vm":{"id":1e2}}`, `{"vm":{"id":01}}`,
-		`{"vm":{"id":+1}}`, `{"vm":{"id":-}}`, `{"vm":{"id":1.}}`,
-		`{"vm":{"id":.5}}`, `{"vm":{"id":1e}}`, `{"vm":{"id":00}}`,
-		`{"unknown":1}`, `{"vm":{"weird":1}}`, `{"vm":null}`,
-		`{"version":null}`,
-		`{"vm":{"class":"a\"b"}}`, `{"vm":{"id":1},}`,
-		`{"vm":{"class":"café"}}`,
-	}
-	for _, body := range declined {
-		var req api.FilterRequest
-		if parseFilterRequest([]byte(body), &req) {
-			t.Errorf("fast parser accepted %q; must decline to the strict fallback", body)
-		}
-		var preq api.PrioritizeRequest
-		if parsePrioritizeRequest([]byte(body), &preq) {
-			t.Errorf("fast prioritize parser accepted %q; must decline", body)
-		}
-	}
-	for _, body := range []string{`{"servers":[1,]}`, `{"servers":[1.5]}`, `{"servers":null}`, `{"servers":[null]}`} {
-		var preq api.PrioritizeRequest
-		if parsePrioritizeRequest([]byte(body), &preq) {
-			t.Errorf("fast prioritize parser accepted %q; must decline", body)
-		}
-	}
-
-	// Zero-allocation contract of the accepted path.
-	body := []byte(`{"version":"v1","vm":{"id":9,"vcores":4,"memory_gb":16,"class":"high-perf","avg_util":0.45}}`)
-	var req api.FilterRequest
-	if n := testing.AllocsPerRun(100, func() {
-		req = api.FilterRequest{}
-		if !parseFilterRequest(body, &req) {
-			t.Fatal("declined")
-		}
-	}); n != 0 {
-		t.Fatalf("fast filter decode allocated %v times per run, want 0", n)
-	}
-	pbody := []byte(`{"version":"v1","vm":{"id":1,"vcores":4,"memory_gb":16},"servers":[0,1,2,3,4,5,6,7]}`)
-	preq := api.PrioritizeRequest{Servers: make([]int, 0, 16)}
-	if n := testing.AllocsPerRun(100, func() {
-		preq.Vers = ""
-		preq.VM = api.VMSpec{}
-		preq.Servers = preq.Servers[:0]
-		if !parsePrioritizeRequest(pbody, &preq) {
-			t.Fatal("declined")
-		}
-	}); n != 0 {
-		t.Fatalf("fast prioritize decode allocated %v times per run, want 0", n)
 	}
 }

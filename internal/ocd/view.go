@@ -2,14 +2,20 @@ package ocd
 
 // The snapshot read plane: /v1/filter, /v1/prioritize, /v1/status,
 // /healthz and /metrics served entirely from the last published
-// fleetView, with zero locking and zero steady-state allocations.
+// fleetView, with zero locking.
 //
 // Correctness contract: every handler here must produce bytes
 // identical to its locked oracle (locked_oracle_test.go) when the view
 // was published at the same simulated instant —
 // TestSnapshotMatchesLockedReads pins that equivalence response by
-// response. The allocation contract (0 allocs/op once scratch is warm)
-// is pinned by the serving benchmarks.
+// response. Both planes decode through decodeBody, so request errors
+// agree by construction.
+//
+// Allocation contract, pinned by TestServingAllocs once scratch is
+// warm: status, metrics and healthz allocate nothing; filter and
+// prioritize allocate only inside decodeBody (encoding/json's decoder
+// and the request's strings), so their count does not grow with the
+// fleet or the answer.
 //
 // Recycling rules:
 //   - fleetView is immutable after publishLocked stores it. Views are
@@ -17,8 +23,8 @@ package ocd
 //     a retired view's slices would race with in-flight reads. The
 //     write plane pays one view allocation per publish; readers pay
 //     nothing.
-//   - servScratch is per-request mutable state (decode buffer, request
-//     structs, response slices, the pooled JSON encoder). It cycles
+//   - servScratch is per-request mutable state (request structs,
+//     response slices, the pooled JSON encoder). It cycles
 //     through d.scratch, so a request owns its scratch exclusively
 //     from Get to Put.
 //   - telemetry.PromRenderer is not safe for concurrent use, so
@@ -105,10 +111,8 @@ func (h *hostScoreSorter) Less(i, j int) bool {
 
 // servScratch is the pooled per-request state of the read plane.
 type servScratch struct {
-	body []byte // request body buffer
-
 	freq api.FilterRequest
-	preq api.PrioritizeRequest // Servers doubles as the decode buffer
+	preq api.PrioritizeRequest // Servers keeps its capacity across requests
 
 	eligible []api.ServerRef
 	failed   []api.FilterFailure
@@ -124,7 +128,7 @@ type servScratch struct {
 }
 
 func newServScratch() *servScratch {
-	sc := &servScratch{body: make([]byte, 0, 4096)}
+	sc := &servScratch{}
 	sc.enc = json.NewEncoder(&sc.out)
 	return sc
 }
@@ -144,64 +148,14 @@ func (sc *servScratch) writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// readBody buffers the request body into the scratch, enforcing the
-// same size cap — with the same error response — as the locked path's
-// http.MaxBytesReader. Returns false with the response written.
-func (sc *servScratch) readBody(w http.ResponseWriter, r *http.Request) bool {
-	sc.body = sc.body[:0]
-	for {
-		if len(sc.body) == cap(sc.body) {
-			sc.body = append(sc.body, 0)[:len(sc.body)]
-		}
-		n, err := r.Body.Read(sc.body[len(sc.body):cap(sc.body)])
-		sc.body = sc.body[:len(sc.body)+n]
-		if len(sc.body) > maxBodyBytes {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
-			return false
-		}
-		if err == io.EOF {
-			return true
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-			return false
-		}
-	}
-}
-
-// writeAPIError renders a handler error with its apiError status,
-// exactly as post() does on the locked path.
-func writeAPIError(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	if ae, ok := err.(*apiError); ok {
-		code = ae.code
-	}
-	writeError(w, code, err.Error())
-}
-
 // serveFilter answers /v1/filter from the published view: the same
 // eligibility walk as filterLocked, over the columnar export.
 func (d *Daemon) serveFilter(w http.ResponseWriter, r *http.Request) {
 	d.requests.Inc()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	sc := d.scratch.Get().(*servScratch)
 	defer d.scratch.Put(sc)
-	if !sc.readBody(w, r) {
-		return
-	}
 	sc.freq = api.FilterRequest{}
-	if !parseFilterRequest(sc.body, &sc.freq) {
-		sc.freq = api.FilterRequest{}
-		if !strictDecode(w, sc.body, &sc.freq) {
-			return
-		}
-	}
-	if v := sc.freq.Vers; v != "" && v != api.Version {
-		writeError(w, http.StatusBadRequest, "unsupported version "+v)
+	if !decodeBody(w, r, &sc.freq, func(q *api.FilterRequest) string { return q.Vers }) {
 		return
 	}
 	class, err := classFromSpec(&sc.freq.VM)
@@ -239,28 +193,16 @@ func (d *Daemon) serveFilter(w http.ResponseWriter, r *http.Request) {
 // out of the loop).
 func (d *Daemon) servePrioritize(w http.ResponseWriter, r *http.Request) {
 	d.requests.Inc()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	sc := d.scratch.Get().(*servScratch)
 	defer d.scratch.Put(sc)
-	if !sc.readBody(w, r) {
-		return
-	}
-	sc.preq.Vers = ""
-	sc.preq.VM = api.VMSpec{}
-	sc.preq.Servers = sc.preq.Servers[:0]
-	if !parsePrioritizeRequest(sc.body, &sc.preq) {
-		sc.preq.Vers = ""
-		sc.preq.VM = api.VMSpec{}
-		sc.preq.Servers = sc.preq.Servers[:0]
-		if !strictDecode(w, sc.body, &sc.preq) {
-			return
-		}
-	}
-	if v := sc.preq.Vers; v != "" && v != api.Version {
-		writeError(w, http.StatusBadRequest, "unsupported version "+v)
+	// Decode into the pooled Servers capacity, zeroed in full first:
+	// encoding/json leaves an element it decodes null untouched, and a
+	// stale index from an earlier request must read as the 0 a fresh
+	// slice holds.
+	servers := sc.preq.Servers[:cap(sc.preq.Servers)]
+	clear(servers)
+	sc.preq = api.PrioritizeRequest{Servers: servers[:0]}
+	if !decodeBody(w, r, &sc.preq, func(q *api.PrioritizeRequest) string { return q.Vers }) {
 		return
 	}
 	if _, err := classFromSpec(&sc.preq.VM); err != nil {
