@@ -80,7 +80,14 @@ func parseArgs(args []string) (options, error) {
 	fs.StringVar(&c.mode, "mode", "stepped", `time mode: "stepped" (POST /v1/step) or "scaled" (wall clock)`)
 	fs.Float64Var(&c.scale, "scale", 300, "scaled mode: simulated seconds per wall second")
 	fs.IntVar(&c.shards, "shards", 0, "fleet simulation shards stepped concurrently (0 = serial)")
-	if _, err := cli.ParseInterleaved(fs, args); err != nil {
+	operands, err := cli.ParseInterleaved(fs, args)
+	if err != nil {
+		return c, err
+	}
+	if len(operands) > 0 {
+		return c, fmt.Errorf("unexpected argument %q", operands[0])
+	}
+	if err := c.Validate(); err != nil {
 		return c, err
 	}
 	if c.mode != ocd.ModeStepped && c.mode != ocd.ModeScaled {
@@ -168,6 +175,9 @@ func loadFleet(spec string, seed uint64) (dcsim.Config, error) {
 func run(args []string) int {
 	c, err := parseArgs(args)
 	if err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintf(os.Stderr, "ocd: %v\n", err)
+		}
 		return 2
 	}
 	if c.Workers > 0 {

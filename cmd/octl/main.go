@@ -36,7 +36,7 @@
 // fig15 fig16 table11 packing buffers capacity.
 //
 // Extensions: highperf wearbudget capping tank policies diurnal
-// cooling fleetsim migration ablation-eq1 ablation-bec
+// cooling fleetsim migration gpu-governor ablation-eq1 ablation-bec
 // ablation-bursts.
 //
 // ASCII figure renderings: plot-fig12 plot-fig15 plot-fig16
@@ -48,6 +48,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -86,7 +87,19 @@ func parseArgs(args []string) (options, []string, error) {
 	fs.IntVar(&c.retries, "retries", 0, "re-run a failing experiment up to N times")
 	fs.Float64Var(&c.duration, "duration", 0, "override simulated duration in seconds (0 = calibrated defaults)")
 	names, err := cli.ParseInterleaved(fs, args)
-	return c, names, err
+	if err != nil {
+		return c, nil, err
+	}
+	if err := c.Validate(); err != nil {
+		return c, nil, err
+	}
+	if c.retries < 0 {
+		return c, nil, errors.New("-retries must be non-negative")
+	}
+	if c.duration < 0 {
+		return c, nil, errors.New("-duration must be non-negative")
+	}
+	return c, names, nil
 }
 
 // selection resolves the command line into an ordered experiment list.
@@ -133,6 +146,9 @@ func selection(c options, names []string) ([]experiments.Experiment, error) {
 func run(args []string) int {
 	c, names, err := parseArgs(args)
 	if err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintf(os.Stderr, "octl: %v\n", err)
+		}
 		return 2
 	}
 	if len(names) == 1 && names[0] == "list" {

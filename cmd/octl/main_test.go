@@ -72,40 +72,43 @@ func TestDocCommentMatchesRegistry(t *testing.T) {
 }
 
 // TestDesignRegenerationNamesResolve checks that every `octl <name>`
-// regeneration instruction in DESIGN.md resolves in the registry.
+// regeneration instruction in DESIGN.md, README.md and EXPERIMENTS.md
+// resolves in the registry.
 func TestDesignRegenerationNamesResolve(t *testing.T) {
-	src, err := os.ReadFile("../../DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
 	re := regexp.MustCompile("`octl ([a-z0-9*/-]+)`")
-	matches := re.FindAllStringSubmatch(string(src), -1)
-	if len(matches) < 20 {
-		t.Fatalf("found only %d `octl …` mentions in DESIGN.md; parser broken?", len(matches))
-	}
-	for _, m := range matches {
-		name := m[1]
-		if name == "list" || name == "all" {
-			continue // subcommands, not experiments
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if strings.Contains(name, "*") {
-			// Wildcard family: at least one registered name must match
-			// the prefix.
-			prefix := strings.TrimSuffix(name, "*")
-			found := false
-			for _, n := range experiments.Names() {
-				if strings.HasPrefix(n, prefix) {
-					found = true
-					break
+		matches := re.FindAllStringSubmatch(string(src), -1)
+		if doc == "DESIGN.md" && len(matches) < 20 {
+			t.Fatalf("found only %d `octl …` mentions in DESIGN.md; parser broken?", len(matches))
+		}
+		for _, m := range matches {
+			name := m[1]
+			if name == "list" || name == "all" {
+				continue // subcommands, not experiments
+			}
+			if strings.Contains(name, "*") {
+				// Wildcard family: at least one registered name must
+				// match the prefix.
+				prefix := strings.TrimSuffix(name, "*")
+				found := false
+				for _, n := range experiments.Names() {
+					if strings.HasPrefix(n, prefix) {
+						found = true
+						break
+					}
 				}
+				if !found {
+					t.Errorf("%s wildcard %q matches no registered experiment", doc, name)
+				}
+				continue
 			}
-			if !found {
-				t.Errorf("DESIGN.md wildcard %q matches no registered experiment", name)
+			if _, ok := experiments.Lookup(name); !ok {
+				t.Errorf("%s regeneration target %q not in the registry", doc, name)
 			}
-			continue
-		}
-		if _, ok := experiments.Lookup(name); !ok {
-			t.Errorf("DESIGN.md regeneration target %q not in the registry", name)
 		}
 	}
 }
@@ -231,13 +234,20 @@ func TestMetricsFlagWritesSnapshot(t *testing.T) {
 	}
 }
 
-// TestUsageErrorsExitTwo pins the CLI error convention shared with
-// tcocalc and ascsim: usage errors exit 2.
+// TestUsageErrorsExitTwo pins the exit-code convention octl shares
+// with ocd and ocdbench: usage errors, negative counts and durations
+// among them, exit 2 before any experiment runs.
 func TestUsageErrorsExitTwo(t *testing.T) {
-	if code := run([]string{"-no-such-flag"}); code != 2 {
-		t.Fatalf("bad flag exited %d, want 2", code)
-	}
-	if code := run([]string{"no-such-experiment"}); code != 2 {
-		t.Fatalf("unknown experiment exited %d, want 2", code)
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"no-such-experiment"},
+		{"-duration", "-5", "fig15"},
+		{"-retries", "-2", "table1"},
+		{"-timeout", "-1s", "table1"},
+		{"-j", "-3", "table1"},
+	} {
+		if code := run(args); code != 2 {
+			t.Errorf("octl %s exited %d, want 2", strings.Join(args, " "), code)
+		}
 	}
 }

@@ -8,7 +8,8 @@
 // the TCO analysis.
 //
 // The library lives under internal/; the runnable surfaces are the
-// cmd/ tools (octl regenerates every table and figure), the examples/
-// programs, and the root-level benchmarks in bench_test.go. See
-// README.md, DESIGN.md and EXPERIMENTS.md.
+// cmd/ tools (octl regenerates every table and figure), the
+// examples/quickstart walkthrough of the governor API, and the
+// root-level benchmarks in bench_test.go. See README.md, DESIGN.md and
+// EXPERIMENTS.md.
 package immersionoc

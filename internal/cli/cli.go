@@ -1,14 +1,13 @@
 // Package cli factors the flag and listener conventions shared by the
 // repo's long-running binaries (octl, ocd): the common -j / -seed /
-// -metrics / -pprof / -timeout flags, interleaved flag/operand parsing,
-// and ":0"-friendly TCP listeners that log their resolved address so
-// tests and scripts can bind an ephemeral port and discover it.
-//
-// The one-shot calculators (tcocalc, ascsim) keep their plain `run()
-// int` entrypoints — they take no shared flags.
+// -metrics / -pprof / -timeout flags and their validation, interleaved
+// flag/operand parsing, and ":0"-friendly TCP listeners that log their
+// resolved address so tests and scripts can bind an ephemeral port and
+// discover it.
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,6 +41,18 @@ func (c *Common) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&c.Timeout, "timeout", 0, "per-experiment timeout (0 = none)")
 	fs.StringVar(&c.Metrics, "metrics", "", "write the run's telemetry snapshot as JSON to this file")
 	fs.StringVar(&c.Pprof, "pprof", "", "serve net/http/pprof on this address (empty = off)")
+}
+
+// Validate rejects the negative -j and -timeout values the flag
+// package parses without complaint.
+func (c Common) Validate() error {
+	if c.Workers < 0 {
+		return errors.New("-j must be non-negative")
+	}
+	if c.Timeout < 0 {
+		return errors.New("-timeout must be non-negative")
+	}
+	return nil
 }
 
 // ParseInterleaved parses fs over args accepting flags interleaved

@@ -64,15 +64,6 @@ func AblationEq1DataCtx(ctx context.Context, o Options) (AblationEq1Result, erro
 	return AblationEq1Result{Model: results[0], Naive: results[1]}, nil
 }
 
-// AblationEq1 renders the Equation 1 ablation.
-func AblationEq1(o Options) (*Table, error) {
-	res, err := AblationEq1Data(o)
-	if err != nil {
-		return nil, err
-	}
-	return ablationEq1Table(res), nil
-}
-
 // ablationEq1Table renders the two controllers.
 func ablationEq1Table(res AblationEq1Result) *Table {
 	t := &Table{
@@ -216,11 +207,6 @@ func AblationBurstsDataCtx(ctx context.Context, o Options) (AblationBurstsResult
 	return res, nil
 }
 
-// AblationBursts renders the burst-correlation ablation.
-func AblationBursts() *Table {
-	return ablationBurstsTable(AblationBurstsData())
-}
-
 // ablationBurstsTable renders the correlation comparison.
 func ablationBurstsTable(res AblationBurstsResult) *Table {
 	t := &Table{
@@ -252,15 +238,6 @@ func PolicyComparisonDataCtx(ctx context.Context, o Options) ([]*autoscaler.Resu
 	return runPolicies(ctx, o, autoscaler.RampPhases(500, 4000, 500, 300),
 		autoscaler.Baseline, autoscaler.OCE, autoscaler.OCA,
 		autoscaler.Predictive, autoscaler.PredictiveOCA)
-}
-
-// PolicyComparison renders the five-policy comparison.
-func PolicyComparison(o Options) (*Table, error) {
-	results, err := PolicyComparisonData(o)
-	if err != nil {
-		return nil, err
-	}
-	return policyComparisonTable(results), nil
 }
 
 // policyComparisonTable renders the five policies.

@@ -121,15 +121,6 @@ func runPolicies(ctx context.Context, o Options, phases []queueing.LoadPhase, po
 		})
 }
 
-// TableXI renders the full auto-scaler experiment results.
-func TableXI(o Options) (*Table, TableXIResult, error) {
-	res, err := TableXIData(o)
-	if err != nil {
-		return nil, TableXIResult{}, err
-	}
-	return tableXITable(res), res, nil
-}
-
 // tableXITable renders the policy comparison.
 func tableXITable(res TableXIResult) *Table {
 	t := &Table{
@@ -157,17 +148,8 @@ func tableXITable(res TableXIResult) *Table {
 	return t
 }
 
-// Fig16 renders the utilization traces of the three policies at fixed
-// sampling points (one per minute).
-func Fig16(o Options) (*Table, error) {
-	res, err := TableXIData(o)
-	if err != nil {
-		return nil, err
-	}
-	return fig16Table(res), nil
-}
-
-// fig16Table renders the per-minute utilization traces.
+// fig16Table renders the utilization traces of the three policies at
+// fixed sampling points (one per minute).
 func fig16Table(res TableXIResult) *Table {
 	t := &Table{
 		Title:  "Figure 16 — Utilization over time: Baseline vs OC-E vs OC-A",

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"context"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -296,5 +299,38 @@ func TestMigrationStopGap(t *testing.T) {
 	}
 	if _, err := Migration(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGPUGovernorExperiment pins `octl gpu-governor` through the
+// registry: one row per VGG model, a positive gain under both
+// objectives, perf-per-watt on OCG1 throughout, and OCG3 — the memory
+// overclock Figure 11 shows buys power without performance — granted
+// nowhere.
+func TestGPUGovernorExperiment(t *testing.T) {
+	e, ok := Lookup("gpu-governor")
+	if !ok {
+		t.Fatal("gpu-governor not registered")
+	}
+	res, err := e.Run(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.RowCount(); n != 6 {
+		t.Fatalf("%d rows, want one per VGG model (6)", n)
+	}
+	for _, r := range res.Table.Rows {
+		// Model | max-perf config, gain, power | perf/W config, gain, power
+		for _, gain := range []string{r[2], r[5]} {
+			if v, err := strconv.ParseFloat(strings.TrimSuffix(gain, "%"), 64); err != nil || v <= 0 {
+				t.Errorf("%s: gain %q not positive", r[0], gain)
+			}
+		}
+		if r[4] != "OCG1" {
+			t.Errorf("%s: perf-per-watt picked %s, want OCG1", r[0], r[4])
+		}
+		if r[1] == "OCG3" || r[4] == "OCG3" {
+			t.Errorf("%s: governor granted OCG3", r[0])
+		}
 	}
 }

@@ -343,11 +343,6 @@ func Fig12DataCtx(ctx context.Context, p Fig12Params) ([]Fig12Point, error) {
 		})
 }
 
-// Fig12 renders the oversubscription latency experiment.
-func Fig12() *Table {
-	return fig12Table(Fig12Data(DefaultFig12Params()))
-}
-
 // fig12Table renders the sweep's points.
 func fig12Table(data []Fig12Point) *Table {
 	t := &Table{

@@ -306,12 +306,6 @@ func Fig13DataCtx(ctx context.Context, p Fig13Params) ([]Fig13Cell, error) {
 	return cells, nil
 }
 
-// Fig13 renders the batch + latency-sensitive oversubscription
-// experiment.
-func Fig13() *Table {
-	return fig13Table(Fig13Data(DefaultFig13Params()))
-}
-
 // fig13Table renders the scenario cells.
 func fig13Table(data []Fig13Cell) *Table {
 	t := &Table{

@@ -69,12 +69,6 @@ func Fig9DataCtx(ctx context.Context, o Options) ([]Fig9Cell, error) {
 	return cells, nil
 }
 
-// Fig9 renders the Figure 9 reproduction.
-func Fig9() *Table {
-	t, _ := fig9TableCtx(context.Background(), Options{})
-	return t
-}
-
 // fig9TableCtx renders the Figure 9 reproduction from a sweep run.
 func fig9TableCtx(ctx context.Context, o Options) (*Table, error) {
 	data, err := Fig9DataCtx(ctx, o)

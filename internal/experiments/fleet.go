@@ -78,12 +78,6 @@ func PackingDataCtx(ctx context.Context, o Options, servers int, trace vm.TraceC
 	}, nil
 }
 
-// Packing renders the packing-density experiment.
-func Packing() *Table {
-	t, _ := packingCtx(context.Background(), Options{})
-	return t
-}
-
 // packingCtx renders the packing-density experiment from a sweep run.
 func packingCtx(ctx context.Context, o Options) (*Table, error) {
 	trace := vm.DefaultTrace
@@ -234,12 +228,6 @@ func CapacityCrisisDataCtx(ctx context.Context, o Options, servers int, trace vm
 	res.ServedBaseline = int(outs[0].peak * float64(res.SupplyPCores))
 	res.ServedOC = int(outs[1].peak * float64(res.SupplyPCores))
 	return res, nil
-}
-
-// CapacityCrisis renders the capacity-crisis experiment.
-func CapacityCrisis() *Table {
-	t, _ := capacityCrisisCtx(context.Background(), Options{})
-	return t
 }
 
 // capacityCrisisCtx renders the capacity-crisis experiment from a

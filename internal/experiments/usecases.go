@@ -148,9 +148,40 @@ func WearBudget() (*Table, error) {
 	return t, nil
 }
 
+// gpuGovernor renders the GPU governor's Table VIII choice for each
+// VGG model on small tank #2's RTX 2080ti (§VI-B), under the
+// max-performance objective and again under perf-per-watt.
+func gpuGovernor() (*Table, error) {
+	pm := server.Tank2Spec().GPU.Power
+	t := &Table{
+		Title: "§VI-B — GPU governor: Table VIII configuration per VGG model (tank #2 RTX 2080ti)",
+		Header: []string{"Model", "Max-perf config", "Max-perf gain", "Max-perf added P99",
+			"Perf/W config", "Perf/W gain", "Perf/W added P99"},
+		Notes: []string{
+			"max-perf gains within 0.5 pp are ties that go to the cheaper config, so the governor",
+			"refuses OCG3's memory clock wherever it adds power without adding performance",
+			"paper: OCG3 raised VGG16B's P99 power 9.5% over OCG1 for little to no improvement",
+		},
+	}
+	for _, m := range workload.VGGModels() {
+		row := []string{m.Name}
+		for _, obj := range []core.Objective{core.MaxPerformance, core.PerfPerWatt} {
+			d, err := core.DecideGPU(m, obj, pm)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", m.Name, err)
+			}
+			row = append(row, d.Config.Name, Pct(d.Improvement), fmt.Sprintf("%+.0f W", d.PowerDeltaW))
+		}
+		t.AddRow(row...)
+	}
+	return t, nil
+}
+
 func init() {
 	registerTable("highperf", 270, []string{"extension", "fast"},
 		func(ctx context.Context, o Options) (*Table, error) { return HighPerf() })
 	registerTable("wearbudget", 280, []string{"extension", "fast"},
 		func(ctx context.Context, o Options) (*Table, error) { return WearBudget() })
+	registerTable("gpu-governor", 330, []string{"extension", "fast"},
+		func(ctx context.Context, o Options) (*Table, error) { return gpuGovernor() })
 }
