@@ -1,13 +1,8 @@
-// Benchmarks that regenerate every table and figure of the paper's
-// evaluation. Each benchmark runs the corresponding experiment harness
-// and reports the headline quantity as a custom metric, so
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the full evaluation and prints the measured values next
-// to the timing. Calibration against the paper's numbers is asserted
-// by the unit tests in internal/...; the benchmarks measure the cost
-// of regenerating each artifact.
+// Benchmarks of the evaluation harness: every registered experiment
+// through its registry Run (BenchmarkExperiment), the whole table
+// evaluation through the runner, the Figure 12 sweep engine, and the
+// fleet simulation at three scales. The repo benchmark of record,
+// with end-to-end gates, is bench/ (bash bench/run.sh).
 package immersionoc_test
 
 import (
@@ -20,7 +15,6 @@ import (
 	"immersionoc/internal/experiments"
 	"immersionoc/internal/runner"
 	"immersionoc/internal/telemetry"
-	"immersionoc/internal/vm"
 )
 
 // BenchmarkRunnerAll regenerates the full table evaluation through the
@@ -55,147 +49,27 @@ func BenchmarkRunnerAll(b *testing.B) {
 	}
 }
 
-func BenchmarkTableI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tbl := experiments.TableI(); len(tbl.Rows) != 6 {
-			b.Fatal("bad Table I")
-		}
-	}
-}
-
-func BenchmarkTableII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tbl := experiments.TableII(); len(tbl.Rows) != 4 {
-			b.Fatal("bad Table II")
-		}
-	}
-}
-
-func BenchmarkTableIII(b *testing.B) {
-	var tj float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.TableIIIData()
-		if err != nil {
-			b.Fatal(err)
-		}
-		tj = rows[1].TjC
-	}
-	b.ReportMetric(tj, "2PIC-Tj-°C")
-}
-
-func BenchmarkFig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tbl := experiments.Fig4(); len(tbl.Rows) != 5 {
-			b.Fatal("bad Fig 4")
-		}
-	}
-}
-
-func BenchmarkTableV(b *testing.B) {
-	var ocLife float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.TableVData()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ocLife = rows[5].Lifetime // HFE-7000 overclocked
-	}
-	b.ReportMetric(ocLife, "HFE-OC-lifetime-years")
-}
-
-func BenchmarkPowerSavings(b *testing.B) {
-	var total float64
-	for i := 0; i < b.N; i++ {
-		sb, _, err := experiments.PowerSavings()
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = sb.Total()
-	}
-	b.ReportMetric(total, "savings-W")
-}
-
-func BenchmarkStability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tbl := experiments.StabilityReport(); len(tbl.Rows) != 3 {
-			b.Fatal("bad stability report")
-		}
-	}
-}
-
-func BenchmarkTableVI(b *testing.B) {
-	var nonOC float64
-	for i := 0; i < b.N; i++ {
-		_, _, n, _, err := experiments.TableVIData()
-		if err != nil {
-			b.Fatal(err)
-		}
-		nonOC = n.Total()
-	}
-	b.ReportMetric((nonOC-1)*100, "nonOC-TCO-delta-%")
-}
-
-func BenchmarkTCOOversub(b *testing.B) {
-	var vsAir float64
-	for i := 0; i < b.N; i++ {
-		_, ocS, _, err := experiments.OversubTCO()
-		if err != nil {
-			b.Fatal(err)
-		}
-		vsAir = ocS.VsAir
-	}
-	b.ReportMetric(vsAir*100, "vcore-saving-%")
-}
-
-func BenchmarkFig9(b *testing.B) {
-	var best float64
-	for i := 0; i < b.N; i++ {
-		best = 0
-		for _, c := range experiments.Fig9Data() {
-			if c.Improvement > best {
-				best = c.Improvement
+// BenchmarkExperiment times every registered experiment, one
+// sub-benchmark per registry entry, through its registry Run with the
+// zero Options — the path octl takes, so
+// -bench 'BenchmarkExperiment/^table11$' times `octl table11` and
+// -bench '^BenchmarkExperiment$' the whole registry. The paper's
+// numbers are asserted by the unit tests in internal/...; this
+// measures the cost of regenerating each artifact.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := e.Run(context.Background(), experiments.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Text() == "" {
+					b.Fatal("empty result")
+				}
 			}
-		}
+		})
 	}
-	b.ReportMetric(best*100, "best-improvement-%")
-}
-
-func BenchmarkFig10(b *testing.B) {
-	var oc3 float64
-	for i := 0; i < b.N; i++ {
-		for _, c := range experiments.Fig10Data() {
-			if c.Config == "OC3" && c.Kernel == "triad" {
-				oc3 = c.VsB1
-			}
-		}
-	}
-	b.ReportMetric(oc3*100, "triad-OC3-gain-%")
-}
-
-func BenchmarkFig11(b *testing.B) {
-	var p99 float64
-	for i := 0; i < b.N; i++ {
-		for _, c := range experiments.Fig11Data() {
-			if c.Config == "OCG3" && c.Model == "VGG16" {
-				p99 = c.P99PowerW
-			}
-		}
-	}
-	b.ReportMetric(p99, "OCG3-P99-W")
-}
-
-func BenchmarkFig12(b *testing.B) {
-	p := experiments.DefaultFig12Params()
-	p.DurationS = 150
-	p.PCoreSteps = []int{12, 16}
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		data := experiments.Fig12Data(p)
-		b16, _ := experiments.Fig12Find(data, "B2", 16)
-		o12, _ := experiments.Fig12Find(data, "OC3", 12)
-		ratio = o12.MeanP95MS / b16.MeanP95MS
-	}
-	b.ReportMetric(ratio, "OC3@12/B2@16-P95")
 }
 
 // BenchmarkSweepFig12 measures the intra-experiment sweep engine on
@@ -230,224 +104,6 @@ func BenchmarkSweepFig12(b *testing.B) {
 			b.ReportMetric(ratio, "OC3@12/B2@16-P95")
 		})
 	}
-}
-
-func BenchmarkFig13(b *testing.B) {
-	p := experiments.DefaultFig13Params()
-	p.DurationS = 120
-	var best float64
-	for i := 0; i < b.N; i++ {
-		best = 0
-		for _, c := range experiments.Fig13Data(p) {
-			if c.Config == "OC3-oversub" && c.Improvement > best {
-				best = c.Improvement
-			}
-		}
-	}
-	b.ReportMetric(best*100, "best-OC3-gain-%")
-}
-
-func BenchmarkFig15(b *testing.B) {
-	var freqAt3000 float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig15Data(experiments.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		freqAt3000 = res.WithModel.FreqFrac.At(1110)
-	}
-	b.ReportMetric(freqAt3000*100, "freq-at-3000QPS-%")
-}
-
-func BenchmarkTableXI(b *testing.B) {
-	var ocaVMh float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TableXIData(experiments.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ocaVMh = res.OCA.VMHours
-	}
-	b.ReportMetric(ocaVMh, "OC-A-VM-hours")
-}
-
-func BenchmarkFig16(b *testing.B) {
-	var peak float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TableXIData(experiments.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		peak = res.Baseline.Util.Max()
-	}
-	b.ReportMetric(peak*100, "baseline-peak-util-%")
-}
-
-func BenchmarkPacking(b *testing.B) {
-	trace := vm.DefaultTrace
-	trace.ArrivalRatePerS = 0.012
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		gain = experiments.PackingData(24, trace, 0.25).DensityGain
-	}
-	b.ReportMetric(gain*100, "density-gain-%")
-}
-
-func BenchmarkBuffers(b *testing.B) {
-	trace := vm.DefaultTrace
-	trace.ArrivalRatePerS = 0.25
-	trace.DurationS = 24 * 3600
-	trace.MeanLifetimeS = 48 * 3600
-	var extra float64
-	for i := 0; i < b.N; i++ {
-		res := experiments.BuffersData(20, 2, 0.10, trace)
-		extra = float64(res.VirtualSellable - res.StaticSellable)
-	}
-	b.ReportMetric(extra, "extra-sellable-vcores")
-}
-
-func BenchmarkCapacityCrisis(b *testing.B) {
-	trace := vm.DefaultTrace
-	trace.Seed = 99
-	trace.ArrivalRatePerS = 0.012
-	trace.DurationS = 2 * 24 * 3600
-	trace.MeanLifetimeS = 24 * 3600
-	var saved float64
-	for i := 0; i < b.N; i++ {
-		res := experiments.CapacityCrisisData(16, trace)
-		saved = float64(res.DeniedBaseline - res.DeniedOC)
-	}
-	b.ReportMetric(saved, "denials-avoided")
-}
-
-func BenchmarkCapping(b *testing.B) {
-	var kept float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.CappingData(0.06)
-		if err != nil {
-			b.Fatal(err)
-		}
-		kept = res.Priority["critical-latency"].FreqGHz
-	}
-	b.ReportMetric(kept, "critical-freq-GHz")
-}
-
-func BenchmarkTankEnvelope(b *testing.B) {
-	var budget float64
-	for i := 0; i < b.N; i++ {
-		_, n, err := experiments.TankData()
-		if err != nil {
-			b.Fatal(err)
-		}
-		budget = float64(n)
-	}
-	b.ReportMetric(budget, "tank-OC-budget-servers")
-}
-
-func BenchmarkHighPerf(b *testing.B) {
-	var denied float64
-	for i := 0; i < b.N; i++ {
-		_, airDenied, err := experiments.HighPerfData()
-		if err != nil {
-			b.Fatal(err)
-		}
-		denied = float64(airDenied)
-	}
-	b.ReportMetric(denied, "air-denied-of-8")
-}
-
-func BenchmarkWearBudget(b *testing.B) {
-	var fc float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.WearBudgetData()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Cooling == "FC-3284" {
-				fc = r.DutyCycle
-			}
-		}
-	}
-	b.ReportMetric(fc*100, "FC-duty-cycle-%")
-}
-
-func BenchmarkAblationBEC(b *testing.B) {
-	var dTj float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationBECData()
-		if err != nil {
-			b.Fatal(err)
-		}
-		dTj = rows[1].TjOverclockC - rows[0].TjOverclockC
-	}
-	b.ReportMetric(dTj, "BEC-Tj-saving-°C")
-}
-
-func BenchmarkAblationBursts(b *testing.B) {
-	var penalty float64
-	for i := 0; i < b.N; i++ {
-		penalty = experiments.AblationBurstsData().Penalty
-	}
-	b.ReportMetric(penalty, "correlation-penalty-x")
-}
-
-func BenchmarkAblationEq1(b *testing.B) {
-	var saving float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationEq1Data(experiments.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		saving = 1 - res.Model.AvgVMPowerW/res.Naive.AvgVMPowerW
-	}
-	b.ReportMetric(saving*100, "Eq1-power-saving-%")
-}
-
-func BenchmarkPolicyComparison(b *testing.B) {
-	var best float64
-	for i := 0; i < b.N; i++ {
-		results, err := experiments.PolicyComparisonData(experiments.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := results[0]
-		best = 1
-		for _, r := range results {
-			if v := r.P95LatencyS / base.P95LatencyS; v < best {
-				best = v
-			}
-		}
-	}
-	b.ReportMetric(best, "best-norm-P95")
-}
-
-func BenchmarkCoolingComparison(b *testing.B) {
-	var fcDuty float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.CoolingComparisonData()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Tech == "2PIC FC-3284" {
-				fcDuty = r.OCDutyCycle
-			}
-		}
-	}
-	b.ReportMetric(fcDuty*100, "FC-OC-duty-%")
-}
-
-func BenchmarkDiurnal(b *testing.B) {
-	var saved float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.DiurnalData(experiments.Options{DurationS: 1800})
-		if err != nil {
-			b.Fatal(err)
-		}
-		saved = res.Results[0].VMHours - res.Results[2].VMHours
-	}
-	b.ReportMetric(saved, "OC-A-VMh-saved")
 }
 
 func BenchmarkFleetSim(b *testing.B) {

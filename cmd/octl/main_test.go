@@ -71,9 +71,38 @@ func TestDocCommentMatchesRegistry(t *testing.T) {
 	}
 }
 
+// markdownCode returns the code of a markdown document: every line of
+// a fenced block and every inline code span, or, with tableRows, only
+// the inline code spans of table rows.
+func markdownCode(src string, tableRows bool) []string {
+	span := regexp.MustCompile("`[^`\n]+`")
+	var code []string
+	fenced := false
+	for _, line := range strings.Split(src, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		switch {
+		case tableRows:
+			if strings.HasPrefix(line, "|") {
+				code = append(code, span.FindAllString(line, -1)...)
+			}
+		case fenced:
+			code = append(code, line)
+		default:
+			code = append(code, span.FindAllString(line, -1)...)
+		}
+	}
+	return code
+}
+
 // TestDesignRegenerationNamesResolve checks that every `octl <name>`
 // regeneration instruction in DESIGN.md, README.md and EXPERIMENTS.md
-// resolves in the registry.
+// resolves in the registry, and that every cmd/<x> named in the code
+// of README.md and of the verify notes (SKILL.md), or in DESIGN.md's
+// table rows, is a command in this repository. DESIGN's prose is
+// history and keeps the names of deleted commands.
 func TestDesignRegenerationNamesResolve(t *testing.T) {
 	re := regexp.MustCompile("`octl ([a-z0-9*/-]+)`")
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
@@ -108,6 +137,21 @@ func TestDesignRegenerationNamesResolve(t *testing.T) {
 			}
 			if _, ok := experiments.Lookup(name); !ok {
 				t.Errorf("%s regeneration target %q not in the registry", doc, name)
+			}
+		}
+	}
+
+	cmdRe := regexp.MustCompile(`\bcmd/([a-z0-9_-]+)`)
+	for _, doc := range []string{"README.md", ".claude/skills/verify/SKILL.md", "DESIGN.md"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, code := range markdownCode(string(src), doc == "DESIGN.md") {
+			for _, m := range cmdRe.FindAllStringSubmatch(code, -1) {
+				if fi, err := os.Stat(filepath.Join("..", "..", "cmd", m[1])); err != nil || !fi.IsDir() {
+					t.Errorf("%s names cmd/%s, which is not a command in this repository", doc, m[1])
+				}
 			}
 		}
 	}
@@ -235,8 +279,8 @@ func TestMetricsFlagWritesSnapshot(t *testing.T) {
 }
 
 // TestUsageErrorsExitTwo pins the exit-code convention octl shares
-// with ocd and ocdbench: usage errors, negative counts and durations
-// among them, exit 2 before any experiment runs.
+// with ocd: usage errors, negative counts and durations among them,
+// exit 2 before any experiment runs.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},

@@ -8,16 +8,14 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 )
 
 // defaultTransport is the shared connection pool every Client without
 // an explicit HTTPClient uses. http.DefaultTransport keeps only two
-// idle connections per host, so a load generator with dozens of
-// workers hammering one daemon would churn through ephemeral ports;
-// this transport keeps enough keep-alive connections per host for a
-// saturating closed-loop workload to reuse them all.
+// idle connections per host, so many concurrent callers of one daemon
+// would churn through ephemeral ports; this transport keeps enough
+// keep-alive connections per host for them all to be reused.
 var defaultTransport = &http.Transport{
 	Proxy:               http.ProxyFromEnvironment,
 	MaxIdleConns:        256,
@@ -29,16 +27,6 @@ var defaultTransport = &http.Transport{
 // request timeout. Shared across Clients: the connection pool is the
 // point.
 var defaultClient = &http.Client{Timeout: 30 * time.Second, Transport: defaultTransport}
-
-// encBuf is the pooled per-call encode scratch: the request is encoded
-// into a reused buffer and served to the transport through a reused
-// reader, so steady-state calls allocate no body machinery.
-type encBuf struct {
-	buf bytes.Buffer
-	rd  bytes.Reader
-}
-
-var encBufs = sync.Pool{New: func() any { return new(encBuf) }}
 
 // Client is the typed Go client of the ocd control-plane API. Server
 // and client share this package's request/response structs, so a field
@@ -73,16 +61,11 @@ func (c *Client) http() *http.Client {
 func (c *Client) call(ctx context.Context, method, path string, req, out any) error {
 	var body io.Reader
 	if req != nil {
-		eb := encBufs.Get().(*encBuf)
-		// The transport finishes reading the body inside Do, so the
-		// scratch is free for reuse once the call returns.
-		defer encBufs.Put(eb)
-		eb.buf.Reset()
-		if err := json.NewEncoder(&eb.buf).Encode(req); err != nil {
+		data, err := json.Marshal(req)
+		if err != nil {
 			return fmt.Errorf("api: encode %s: %w", path, err)
 		}
-		eb.rd.Reset(eb.buf.Bytes())
-		body = &eb.rd
+		body = bytes.NewReader(data)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {

@@ -23,18 +23,13 @@ type AblationEq1Result struct {
 	Model, Naive *autoscaler.Result
 }
 
-// AblationEq1Data runs both controllers on an oscillating moderate
+// AblationEq1DataCtx runs both controllers on an oscillating moderate
 // load where intermediate ladder rungs suffice, so the model's
 // minimum-frequency selection can actually save power. The zero
-// Options reproduces the published run (seed 5).
-func AblationEq1Data(o Options) (AblationEq1Result, error) {
-	return AblationEq1DataCtx(context.Background(), o)
-}
-
-// AblationEq1DataCtx is AblationEq1Data honoring ctx: a cancelled
-// context stops the in-flight controller simulation at the kernel's
-// next event batch. The two controller runs are independent, so they
-// fan out through sweep.Map under o.Workers.
+// Options reproduces the published run (seed 5); a cancelled context
+// stops the in-flight controller simulation at the kernel's next
+// event batch. The two controller runs are independent, so they fan
+// out through sweep.Map under o.Workers.
 func AblationEq1DataCtx(ctx context.Context, o Options) (AblationEq1Result, error) {
 	phases := []queueing.LoadPhase{
 		{QPS: 1000, DurationS: 240},
@@ -163,20 +158,13 @@ type AblationBurstsResult struct {
 	Penalty float64
 }
 
-// AblationBurstsData runs the 12-pcore B2 oversubscription point with
-// shared and per-VM burst schedules.
-func AblationBurstsData() AblationBurstsResult {
-	res, _ := AblationBurstsDataCtx(context.Background(), Options{})
-	return res
-}
-
-// AblationBurstsDataCtx is AblationBurstsData honoring ctx and
-// Options: a cancelled context stops the in-flight oversubscription
-// run at the kernel's next event batch. The correlated and
-// independent variants fan out through sweep.Map; each variant is
-// itself a Fig12 sweep, exercising nested fan-out under the shared
-// worker budget (the outer cells lend their slots while blocked on
-// the inner grids).
+// AblationBurstsDataCtx runs the 12-pcore B2 oversubscription point
+// with shared and per-VM burst schedules; a cancelled context stops
+// the in-flight oversubscription run at the kernel's next event batch.
+// The correlated and independent variants fan out through sweep.Map;
+// each variant is itself a Fig12 sweep, exercising nested fan-out
+// under the shared worker budget (the outer cells lend their slots
+// while blocked on the inner grids).
 func AblationBurstsDataCtx(ctx context.Context, o Options) (AblationBurstsResult, error) {
 	base := DefaultFig12Params()
 	base.DurationS = 300
@@ -223,14 +211,9 @@ func ablationBurstsTable(res AblationBurstsResult) *Table {
 	return t
 }
 
-// PolicyComparisonData runs all five auto-scaler policies (the paper's
-// three plus the predictive extensions) over the Table XI ramp. The
-// zero Options reproduces the published run (seed 3).
-func PolicyComparisonData(o Options) ([]*autoscaler.Result, error) {
-	return PolicyComparisonDataCtx(context.Background(), o)
-}
-
-// PolicyComparisonDataCtx is PolicyComparisonData honoring ctx: a
+// PolicyComparisonDataCtx runs all five auto-scaler policies (the
+// paper's three plus the predictive extensions) over the Table XI
+// ramp. The zero Options reproduces the published run (seed 3); a
 // cancelled context stops the in-flight policy simulation at the
 // kernel's next event batch. The five policies fan out through
 // runPolicies under o.Workers.

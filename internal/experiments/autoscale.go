@@ -15,16 +15,11 @@ type Fig15Result struct {
 	Baseline  *autoscaler.Result
 }
 
-// Fig15Data runs the Equation 1 validation: three fixed VMs, the load
-// stepping 1000→2000→500→3000→1000 QPS, frequency control on, versus
-// a baseline that never changes frequency. The zero Options reproduces
-// the published run (seed 3).
-func Fig15Data(o Options) (Fig15Result, error) {
-	return Fig15DataCtx(context.Background(), o)
-}
-
-// Fig15DataCtx is Fig15Data honoring ctx: a cancelled context stops
-// the in-flight simulation at the kernel's next event batch.
+// Fig15DataCtx runs the Equation 1 validation: three fixed VMs, the
+// load stepping 1000→2000→500→3000→1000 QPS, frequency control on,
+// versus a baseline that never changes frequency. The zero Options
+// reproduces the published run (seed 3); a cancelled context stops the
+// in-flight simulation at the kernel's next event batch.
 func Fig15DataCtx(ctx context.Context, o Options) (Fig15Result, error) {
 	phases := autoscaler.ValidationPhases()
 
@@ -48,16 +43,7 @@ func Fig15DataCtx(ctx context.Context, o Options) (Fig15Result, error) {
 	return Fig15Result{WithModel: withModel, Baseline: baseline}, nil
 }
 
-// Fig15 renders the validation time series at phase boundaries.
-func Fig15(o Options) (*Table, error) {
-	res, err := Fig15Data(o)
-	if err != nil {
-		return nil, err
-	}
-	return fig15Table(res), nil
-}
-
-// fig15Table renders the validation run.
+// fig15Table renders the validation time series at phase boundaries.
 func fig15Table(res Fig15Result) *Table {
 	t := &Table{
 		Title:  "Figure 15 — Model validation: utilization and frequency under load steps (3 VMs)",
@@ -87,16 +73,11 @@ type TableXIResult struct {
 	Baseline, OCE, OCA *autoscaler.Result
 }
 
-// TableXIData runs the three auto-scaler policies over the 500→4000
-// QPS ramp. The zero Options reproduces the published run (seed 3).
-func TableXIData(o Options) (TableXIResult, error) {
-	return TableXIDataCtx(context.Background(), o)
-}
-
-// TableXIDataCtx is TableXIData honoring ctx: a cancelled context
-// stops the in-flight policy simulation at the kernel's next event
-// batch instead of finishing the ramp. The three policies fan out
-// through runPolicies under o.Workers.
+// TableXIDataCtx runs the three auto-scaler policies over the
+// 500→4000 QPS ramp. The zero Options reproduces the published run
+// (seed 3); a cancelled context stops the in-flight policy simulation
+// at the kernel's next event batch instead of finishing the ramp. The
+// three policies fan out through runPolicies under o.Workers.
 func TableXIDataCtx(ctx context.Context, o Options) (TableXIResult, error) {
 	rs, err := runPolicies(ctx, o, autoscaler.RampPhases(500, 4000, 500, 300),
 		autoscaler.Baseline, autoscaler.OCE, autoscaler.OCA)

@@ -39,20 +39,14 @@ func CoolingOptions() []struct {
 	}
 }
 
-// CoolingComparisonData evaluates each §II cooling option at the
+// CoolingComparisonDataCtx evaluates each §II cooling option at the
 // nominal and overclocked socket operating points: junction
 // temperatures, the overclocked lifetime, and the sustainable
 // overclocking duty cycle within the 5-year budget. It quantifies the
 // paper's argument that liquid cooling — and 2PIC in particular —
-// unlocks sustained overclocking.
-func CoolingComparisonData() ([]CoolingRow, error) {
-	return CoolingComparisonDataCtx(context.Background(), Options{})
-}
-
-// CoolingComparisonDataCtx is CoolingComparisonData with the
-// technology rows fanned out through sweep.Map under o.Workers: each
-// cell evaluates one cooling model, so row order is the CoolingOptions
-// order regardless of worker count.
+// unlocks sustained overclocking. The technology rows fan out through
+// sweep.Map under o.Workers: each cell evaluates one cooling model, so
+// row order is the CoolingOptions order regardless of worker count.
 func CoolingComparisonDataCtx(ctx context.Context, o Options) ([]CoolingRow, error) {
 	opts := CoolingOptions()
 	return sweep.Map(ctx, len(opts), sweep.Options{Workers: o.Workers, Tel: o.Tel},
@@ -87,13 +81,8 @@ func CoolingComparisonDataCtx(ctx context.Context, o Options) ([]CoolingRow, err
 		})
 }
 
-// CoolingComparison renders the §II technology comparison for
-// overclocking.
-func CoolingComparison() (*Table, error) {
-	return coolingComparisonCtx(context.Background(), Options{})
-}
-
-// coolingComparisonCtx renders the comparison from a sweep run.
+// coolingComparisonCtx renders the §II technology comparison for
+// overclocking from a sweep run.
 func coolingComparisonCtx(ctx context.Context, o Options) (*Table, error) {
 	rows, err := CoolingComparisonDataCtx(ctx, o)
 	if err != nil {

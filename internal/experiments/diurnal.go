@@ -13,20 +13,15 @@ type DiurnalResult struct {
 	Results []*autoscaler.Result
 }
 
-// DiurnalData runs Baseline, OC-E and OC-A over a compressed diurnal
-// day (raised-cosine load, trough 300 QPS, peak 3300 QPS). Diurnal
-// patterns are where the paper expects "scale up, then out" to pay off
-// most: the overclock absorbs the morning ramp and the evening decline
-// without churning VMs. The zero Options reproduces the published run
-// (seed 3, 3600 s day).
-func DiurnalData(o Options) (DiurnalResult, error) {
-	return DiurnalDataCtx(context.Background(), o)
-}
-
-// DiurnalDataCtx is DiurnalData honoring ctx: a cancelled context
-// stops the in-flight policy simulation at the kernel's next event
-// batch instead of finishing the simulated day. The three policies fan
-// out through runPolicies under o.Workers.
+// DiurnalDataCtx runs Baseline, OC-E and OC-A over a compressed
+// diurnal day (raised-cosine load, trough 300 QPS, peak 3300 QPS).
+// Diurnal patterns are where the paper expects "scale up, then out" to
+// pay off most: the overclock absorbs the morning ramp and the evening
+// decline without churning VMs. The zero Options reproduces the
+// published run (seed 3, 3600 s day); a cancelled context stops the
+// in-flight policy simulation at the kernel's next event batch instead
+// of finishing the simulated day. The three policies fan out through
+// runPolicies under o.Workers.
 func DiurnalDataCtx(ctx context.Context, o Options) (DiurnalResult, error) {
 	results, err := runPolicies(ctx, o, autoscaler.DiurnalPhases(300, 3300, o.DurationOr(3600), 120),
 		autoscaler.Baseline, autoscaler.OCE, autoscaler.OCA)
@@ -36,16 +31,7 @@ func DiurnalDataCtx(ctx context.Context, o Options) (DiurnalResult, error) {
 	return DiurnalResult{Results: results}, nil
 }
 
-// Diurnal renders the diurnal-day comparison.
-func Diurnal(o Options) (*Table, error) {
-	res, err := DiurnalData(o)
-	if err != nil {
-		return nil, err
-	}
-	return diurnalTable(res), nil
-}
-
-// diurnalTable renders the policy rows.
+// diurnalTable renders the diurnal-day comparison.
 func diurnalTable(res DiurnalResult) *Table {
 	base := res.Results[0]
 	t := &Table{

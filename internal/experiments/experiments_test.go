@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -145,7 +146,10 @@ func TestStabilityReportSmoke(t *testing.T) {
 }
 
 func TestFig9Reproduction(t *testing.T) {
-	cells := Fig9Data()
+	cells, err := Fig9DataCtx(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 8*4 {
 		t.Fatalf("%d cells", len(cells))
 	}

@@ -7,6 +7,22 @@ import (
 	"testing"
 )
 
+// runRegistered runs the named experiment through its registry Run
+// with the zero Options — the path octl takes — and fails the test on
+// an error.
+func runRegistered(t *testing.T, name string) Result {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("%s not registered", name)
+	}
+	res, err := e.Run(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestCappingExperiment(t *testing.T) {
 	res, err := CappingData(0.06)
 	if err != nil {
@@ -95,7 +111,10 @@ func TestAblationBursts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("burst ablation in -short mode")
 	}
-	res := AblationBurstsData()
+	res, err := AblationBurstsDataCtx(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Correlated bursts must be substantially worse than independent
 	// ones on the oversubscribed host — this is the mechanism behind
 	// Figure 12/13.
@@ -108,7 +127,7 @@ func TestAblationEq1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Eq1 ablation in -short mode")
 	}
-	res, err := AblationEq1Data(Options{})
+	res, err := AblationEq1DataCtx(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +146,7 @@ func TestPolicyComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five-policy comparison in -short mode")
 	}
-	results, err := PolicyComparisonData(Options{})
+	results, err := PolicyComparisonDataCtx(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +230,7 @@ func TestWearBudgetDutyCycles(t *testing.T) {
 }
 
 func TestCoolingComparison(t *testing.T) {
-	rows, err := CoolingComparisonData()
+	rows, err := CoolingComparisonDataCtx(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,16 +250,14 @@ func TestCoolingComparison(t *testing.T) {
 	if byName["1PIC"].OCDutyCycle >= byName["2PIC FC-3284"].OCDutyCycle {
 		t.Fatal("1PIC duty cycle not below 2PIC FC-3284")
 	}
-	if _, err := CoolingComparison(); err != nil {
-		t.Fatal(err)
-	}
+	runRegistered(t, "cooling")
 }
 
 func TestDiurnal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("diurnal day in -short mode")
 	}
-	res, err := DiurnalData(Options{DurationS: 1800})
+	res, err := DiurnalDataCtx(context.Background(), Options{DurationS: 1800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,16 +271,14 @@ func TestDiurnal(t *testing.T) {
 	if base.EnergyPerReqJ <= 0 {
 		t.Fatal("energy per request not computed")
 	}
-	if _, err := Diurnal(Options{}); err != nil {
-		t.Fatal(err)
-	}
+	runRegistered(t, "diurnal")
 }
 
 func TestFleetSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet integration in -short mode")
 	}
-	tbl, err := FleetSim()
+	tbl, err := FleetSimCtx(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,14 +323,7 @@ func TestMigrationStopGap(t *testing.T) {
 // overclock Figure 11 shows buys power without performance — granted
 // nowhere.
 func TestGPUGovernorExperiment(t *testing.T) {
-	e, ok := Lookup("gpu-governor")
-	if !ok {
-		t.Fatal("gpu-governor not registered")
-	}
-	res, err := e.Run(context.Background(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runRegistered(t, "gpu-governor")
 	if n := res.RowCount(); n != 6 {
 		t.Fatalf("%d rows, want one per VGG model (6)", n)
 	}

@@ -308,12 +308,6 @@ func (p Fig12Params) withOptions(o Options) Fig12Params {
 	return p
 }
 
-// Fig12Data runs the oversubscription sweep.
-func Fig12Data(p Fig12Params) []Fig12Point {
-	out, _ := Fig12DataCtx(context.Background(), p)
-	return out
-}
-
 // Fig12DataCtx runs the oversubscription sweep. The grid's cells —
 // (config, pcores) pairs — are independent simulations sharing only
 // the read-only burst schedules, so they fan out through sweep.Map

@@ -236,21 +236,16 @@ func (p Fig13Params) withOptions(o Options) Fig13Params {
 	return p
 }
 
-// Fig13Data runs all three scenarios under the oversubscribed B2 and
-// OC3 configurations, normalizing against the 20-pcore B2 baseline.
-func Fig13Data(p Fig13Params) []Fig13Cell {
-	cells, _ := Fig13DataCtx(context.Background(), p)
-	return cells
-}
-
-// Fig13DataCtx runs the scenarios. All nine simulations — three
-// scenarios, each at the 20-pcore B2 baseline plus the two
-// oversubscribed configs — are independent, so they fan out through
-// sweep.Map under p.Workers; the improvement normalization happens
-// afterwards on the index-ordered metrics, preserving the serial
-// output exactly. Cancellation is honored both between runs and
-// inside each run's simulation (the kernel checks ctx every event
-// batch), so a cancelled experiment returns promptly.
+// Fig13DataCtx runs all three scenarios under the oversubscribed B2
+// and OC3 configurations, normalizing against the 20-pcore B2
+// baseline. All nine simulations — three scenarios, each at the
+// 20-pcore B2 baseline plus the two oversubscribed configs — are
+// independent, so they fan out through sweep.Map under p.Workers; the
+// improvement normalization happens afterwards on the index-ordered
+// metrics, preserving the serial output exactly. Cancellation is
+// honored both between runs and inside each run's simulation (the
+// kernel checks ctx every event batch), so a cancelled experiment
+// returns promptly.
 func Fig13DataCtx(ctx context.Context, p Fig13Params) ([]Fig13Cell, error) {
 	type run struct {
 		sc     Scenario

@@ -29,17 +29,11 @@ func Fig9Configs() []freq.Config {
 	return []freq.Config{freq.B2, freq.OC1, freq.OC2, freq.OC3}
 }
 
-// Fig9Data evaluates the high-performance-VM experiment: each Table IX
-// cloud application run alone under B2, OC1, OC2 and OC3.
-func Fig9Data() []Fig9Cell {
-	cells, _ := Fig9DataCtx(context.Background(), Options{})
-	return cells
-}
-
-// Fig9DataCtx is Fig9Data with the application rows fanned out
-// through sweep.Map under o.Workers: each cell evaluates one
-// application across all four configurations, so row order is the
-// application order regardless of worker count.
+// Fig9DataCtx evaluates the high-performance-VM experiment: each
+// Table IX cloud application run alone under B2, OC1, OC2 and OC3. The
+// application rows fan out through sweep.Map under o.Workers: each
+// cell evaluates one application across all four configurations, so
+// row order is the application order regardless of worker count.
 func Fig9DataCtx(ctx context.Context, o Options) ([]Fig9Cell, error) {
 	apps := workload.Figure9Apps()
 	rows, err := sweep.Map(ctx, len(apps), sweep.Options{Workers: o.Workers, Tel: o.Tel},

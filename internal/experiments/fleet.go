@@ -41,17 +41,12 @@ type PackingResult struct {
 	AtRisk      int
 }
 
-// PackingData replays a VM trace through two fleets of equal size: an
-// air-cooled fleet (1:1 vcore:pcore) and a 2PIC fleet allowed 20% CPU
-// oversubscription backed by overclocking (§V "Dense VM packing").
-func PackingData(servers int, trace vm.TraceConfig, oversub float64) PackingResult {
-	res, _ := PackingDataCtx(context.Background(), Options{}, servers, trace, oversub)
-	return res
-}
-
-// PackingDataCtx is PackingData with the two fleet replays fanned out
-// through sweep.Map under o.Workers; both replay the same generated
-// trace, so the result is worker-count-independent.
+// PackingDataCtx replays a VM trace through two fleets of equal size:
+// an air-cooled fleet (1:1 vcore:pcore) and a 2PIC fleet allowed 20%
+// CPU oversubscription backed by overclocking (§V "Dense VM packing").
+// The two fleet replays fan out through sweep.Map under o.Workers;
+// both replay the same generated trace, so the result is
+// worker-count-independent.
 func PackingDataCtx(ctx context.Context, o Options, servers int, trace vm.TraceConfig, oversub float64) (PackingResult, error) {
 	vms := vm.Generate(trace)
 	outs, err := packFleets(ctx, o, vms, func(i int) *cluster.Cluster {
@@ -188,16 +183,10 @@ type CapacityCrisisResult struct {
 	DeniedBaseline, DeniedOC int
 }
 
-// CapacityCrisisData replays a demand trace whose peak exceeds the
-// fleet's 1:1 capacity (the red gap of Figure 7) through a baseline and
-// an overclocking-backed fleet, counting denied VM requests.
-func CapacityCrisisData(servers int, trace vm.TraceConfig) CapacityCrisisResult {
-	res, _ := CapacityCrisisDataCtx(context.Background(), Options{}, servers, trace)
-	return res
-}
-
-// CapacityCrisisDataCtx is CapacityCrisisData with the two fleet
-// replays fanned out through sweep.Map under o.Workers.
+// CapacityCrisisDataCtx replays a demand trace whose peak exceeds the
+// fleet's 1:1 capacity (the red gap of Figure 7) through a baseline
+// and an overclocking-backed fleet, counting denied VM requests. The
+// two fleet replays fan out through sweep.Map under o.Workers.
 func CapacityCrisisDataCtx(ctx context.Context, o Options, servers int, trace vm.TraceConfig) (CapacityCrisisResult, error) {
 	vms := vm.Generate(trace)
 	peak := 0

@@ -8,18 +8,13 @@ import (
 	"immersionoc/internal/sweep"
 )
 
-// FleetSim runs the full-stack integration simulation — placement,
+// FleetSimCtx runs the full-stack integration simulation — placement,
 // overclock decisions, tank thermals, feeder capping and wear — over a
-// two-day trace, at two load levels.
-func FleetSim() (*Table, error) {
-	return FleetSimCtx(context.Background(), Options{})
-}
-
-// FleetSimCtx is FleetSim honoring ctx and Options: a cancelled
-// context stops the in-flight fleet simulation at its next control
-// step. The two load levels are independent runs, so they fan out
-// through sweep.Map under o.Workers, each publishing telemetry into a
-// per-load child scope of o.Tel.
+// two-day trace, at two load levels. A cancelled context stops the
+// in-flight fleet simulation at its next control step. The two load
+// levels are independent runs, so they fan out through sweep.Map under
+// o.Workers, each publishing telemetry into a per-load child scope of
+// o.Tel.
 func FleetSimCtx(ctx context.Context, o Options) (*Table, error) {
 	t := &Table{
 		Title:  "Integration — full-stack fleet simulation (3 tanks × 12 blades, 2-day trace)",

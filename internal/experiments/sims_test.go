@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"immersionoc/internal/vm"
@@ -19,7 +20,10 @@ func TestFig12Shape(t *testing.T) {
 		p.DurationS = 90
 		p.PCoreSteps = []int{12, 16}
 	}
-	data := Fig12Data(p)
+	data, err := Fig12DataCtx(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Latency decreases with pcores within each config.
 	for _, cfgName := range []string{"B2", "OC3"} {
 		prev := -1.0
@@ -54,7 +58,10 @@ func TestFig12HeadlineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 12 run in -short mode")
 	}
-	data := Fig12Data(DefaultFig12Params())
+	data, err := Fig12DataCtx(context.Background(), DefaultFig12Params())
+	if err != nil {
+		t.Fatal(err)
+	}
 	b16, _ := Fig12Find(data, "B2", 16)
 	o12, _ := Fig12Find(data, "OC3", 12)
 	// Paper: OC3 with 12 pcores within 1% of B2 with 16; our
@@ -69,7 +76,10 @@ func TestFig12PowerCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 12 run in -short mode")
 	}
-	data := Fig12Data(DefaultFig12Params())
+	data, err := Fig12DataCtx(context.Background(), DefaultFig12Params())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		cfg    string
 		pcores int
@@ -94,7 +104,10 @@ func TestFig13Shape(t *testing.T) {
 	}
 	p := DefaultFig13Params()
 	p.DurationS = 180
-	cells := Fig13Data(p)
+	cells, err := Fig13DataCtx(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 30 {
 		t.Fatalf("%d cells, want 30 (3 scenarios × 5 VMs × 2 configs)", len(cells))
 	}
@@ -146,7 +159,10 @@ func TestTableXScenarios(t *testing.T) {
 func TestPackingDensityGain(t *testing.T) {
 	trace := vm.DefaultTrace
 	trace.ArrivalRatePerS = 0.012
-	res := PackingData(24, trace, 0.25)
+	res, err := PackingDataCtx(context.Background(), Options{}, 24, trace, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Paper: ~20% packing density improvement.
 	if res.DensityGain < 0.15 || res.DensityGain > 0.30 {
 		t.Fatalf("density gain %v, want ~0.20-0.25", res.DensityGain)
@@ -185,7 +201,10 @@ func TestCapacityCrisisMitigation(t *testing.T) {
 	trace.ArrivalRatePerS = 0.012
 	trace.DurationS = 2 * 24 * 3600
 	trace.MeanLifetimeS = 24 * 3600
-	res := CapacityCrisisData(16, trace)
+	res, err := CapacityCrisisDataCtx(context.Background(), Options{}, 16, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.DemandVCores <= res.SupplyPCores {
 		t.Fatal("trace does not create a capacity crisis")
 	}
@@ -198,9 +217,7 @@ func TestFig15AndTableXIRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("auto-scaler renders in -short mode")
 	}
-	if _, err := Fig15(Options{}); err != nil {
-		t.Fatal(err)
-	}
+	runRegistered(t, "fig15")
 	res, err := serialTableXI()
 	if err != nil {
 		t.Fatal(err)

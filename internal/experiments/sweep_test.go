@@ -118,7 +118,7 @@ func TestFig13WorkersEquivalence(t *testing.T) {
 // so the package pays for one serial run (~90 s under -race on two
 // CPUs), not two.
 var serialTableXI = sync.OnceValues(func() (TableXIResult, error) {
-	return TableXIData(Options{})
+	return TableXIDataCtx(context.Background(), Options{})
 })
 
 // TestTableXIWorkersEquivalence: the three Table XI policy arms

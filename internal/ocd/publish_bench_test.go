@@ -7,9 +7,8 @@ package ocd
 // chunks that mutations dirtied. The FullCopy arm fills a zero-value
 // FleetSnapshot instead, which has no chunks to share, so every
 // publish rebuilds every column — the pre-COW publication cost, kept
-// live so the A/B never goes stale. bench_baseline.json carries the
-// FullCopy arm's numbers as the plain arm's baseline, so `make bench`
-// reports the COW speedup directly.
+// live so the A/B never goes stale: `make bench` prints both arms side
+// by side, so the COW speedup reads directly off its output.
 //
 // The gate: at 100k servers a single-placement publish must be ≥20×
 // cheaper chained than fully copied.

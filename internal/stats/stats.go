@@ -113,10 +113,9 @@ func (d *Digest) Mean() float64 {
 }
 
 // Merge folds every sample of o into d, leaving o untouched. Workers
-// that each record into a private digest (the load generator's
-// per-worker latency streams) merge them into one digest for the final
-// quantile queries; the result is identical to having recorded all
-// samples into d directly.
+// that each record into a private digest merge them into one digest
+// for the final quantile queries; the result is identical to having
+// recorded all samples into d directly.
 func (d *Digest) Merge(o *Digest) {
 	if o == nil {
 		return
