@@ -20,7 +20,6 @@
 //	-json           emit NDJSON results on stdout instead of tables
 //	-out dir        write one <name>.json + <name>.txt per experiment
 //	-timeout d      per-experiment timeout (e.g. 30s; 0 = none)
-//	-retries N      re-run a failing experiment up to N times
 //	-seed N         override every experiment's RNG seed (0 = calibrated)
 //	-duration S     override simulated duration in seconds (0 = calibrated)
 //	-metrics file   write the run's telemetry snapshot as JSON to file
@@ -71,7 +70,6 @@ type options struct {
 	tags     string
 	jsonOut  bool
 	outDir   string
-	retries  int
 	duration float64
 }
 
@@ -84,7 +82,6 @@ func parseArgs(args []string) (options, []string, error) {
 	fs.StringVar(&c.tags, "tags", "", "comma-separated tags to select experiments by")
 	fs.BoolVar(&c.jsonOut, "json", false, "emit NDJSON results on stdout")
 	fs.StringVar(&c.outDir, "out", "", "write per-experiment .json and .txt files to this directory")
-	fs.IntVar(&c.retries, "retries", 0, "re-run a failing experiment up to N times")
 	fs.Float64Var(&c.duration, "duration", 0, "override simulated duration in seconds (0 = calibrated defaults)")
 	names, err := cli.ParseInterleaved(fs, args)
 	if err != nil {
@@ -92,9 +89,6 @@ func parseArgs(args []string) (options, []string, error) {
 	}
 	if err := c.Validate(); err != nil {
 		return c, nil, err
-	}
-	if c.retries < 0 {
-		return c, nil, errors.New("-retries must be non-negative")
 	}
 	if c.duration < 0 {
 		return c, nil, errors.New("-duration must be non-negative")
@@ -108,21 +102,11 @@ func selection(c options, names []string) ([]experiments.Experiment, error) {
 		if len(names) > 0 {
 			return nil, fmt.Errorf("use either -tags or experiment names, not both")
 		}
-		want := map[string]bool{}
-		for _, t := range strings.Split(c.tags, ",") {
-			if t = strings.TrimSpace(t); t != "" {
-				want[t] = true
-			}
+		tags := strings.Split(c.tags, ",")
+		for i := range tags {
+			tags[i] = strings.TrimSpace(tags[i])
 		}
-		var sel []experiments.Experiment
-		for _, e := range experiments.All() {
-			for _, t := range e.Tags {
-				if want[t] {
-					sel = append(sel, e)
-					break
-				}
-			}
-		}
+		sel := experiments.WithTags(tags...)
 		if len(sel) == 0 {
 			return nil, fmt.Errorf("no experiments carry tags %q", c.tags)
 		}
@@ -186,7 +170,6 @@ func run(args []string) int {
 	cfg := runner.Config{
 		Workers: c.Workers,
 		Timeout: c.Timeout,
-		Retries: c.retries,
 		Options: experiments.Options{Seed: c.Seed, DurationS: c.duration},
 		OnDone: func(i int, o runner.Outcome) {
 			outcomes[i] = &o

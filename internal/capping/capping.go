@@ -166,9 +166,6 @@ func NewController(budgetW, restoreMarginW float64, groups ...*Group) (*Controll
 	return c, nil
 }
 
-// Groups returns the managed groups.
-func (c *Controller) Groups() []*Group { return c.groups }
-
 // TotalPowerW returns the fleet's aggregate power.
 func (c *Controller) TotalPowerW() float64 {
 	var t float64

@@ -74,20 +74,11 @@ func (s *Server) Oversubscribed() bool { return s.vcoresUse > s.Spec.PCores }
 func (s *Server) ExpectedDemand() float64 { return s.expDemand }
 
 // VMsList returns a copy of the server's placed VMs in ascending ID
-// order. Hot loops that only need to walk the allocations should use
-// ForEachVM, which does not allocate.
+// order.
 func (s *Server) VMsList() []*vm.VM {
 	out := make([]*vm.VM, len(s.vms))
 	copy(out, s.vms)
 	return out
-}
-
-// ForEachVM calls f for each placed VM in ascending ID order without
-// allocating. f must not place or remove VMs on this server.
-func (s *Server) ForEachVM(f func(*vm.VM)) {
-	for _, v := range s.vms {
-		f(v)
-	}
 }
 
 // attach inserts v keeping s.vms sorted by ID and updates the
@@ -214,16 +205,6 @@ func (c *Cluster) SetOversubRatio(r float64) {
 	c.rebuildIndex()
 }
 
-// vcoreCap returns the server's vcore allocation limit under the
-// policy.
-func (c *Cluster) vcoreCap(s *Server) int {
-	capV := s.Spec.PCores
-	if c.Policy.CPUOversubRatio > 0 && s.Spec.Overclockable {
-		capV = int(float64(s.Spec.PCores) * (1 + c.Policy.CPUOversubRatio))
-	}
-	return capV
-}
-
 // fits reports whether v fits on s under the policy.
 func (c *Cluster) fits(s *Server, v *vm.VM, useReserved bool) bool {
 	return c.explain(s, v, useReserved) == ""
@@ -261,7 +242,7 @@ func (c *Cluster) explain(s *Server, v *vm.VM, useReserved bool) string {
 	}
 	// Vcore checks compare against remaining headroom: the request's
 	// vcores come from a client, and usage + vcores wraps near 2^63.
-	if v.Type.VCores > c.vcoreCap(s)-s.vcoresUse {
+	if v.Type.VCores > c.idx.capV-s.vcoresUse {
 		return ReasonCapacity
 	}
 	// High-performance VMs need overclocking headroom guaranteed:
@@ -295,7 +276,7 @@ func (c *Cluster) place(v *vm.VM, useReserved bool) (*Server, error) {
 			if !c.fits(s, v, useReserved) {
 				continue
 			}
-			left := c.vcoreCap(s) - s.vcoresUse - v.Type.VCores
+			left := c.idx.capV - s.vcoresUse - v.Type.VCores
 			if left < bestLeft || (left == bestLeft && best != nil && s.ID < best.ID) {
 				best, bestLeft = s, left
 			}

@@ -26,12 +26,11 @@ type Flat struct {
 	PlacedVMs int
 	Density   float64
 
-	// Spec is the (uniform) server hardware shape; OversubRatio the
-	// policy's CPU oversubscription; VCoreCap the per-server vcore
-	// allocation limit the two imply.
-	Spec         ServerSpec
-	OversubRatio float64
-	VCoreCap     int
+	// Spec is the (uniform) server hardware shape; VCoreCap the
+	// per-server vcore allocation limit it implies under the policy's
+	// CPU oversubscription.
+	Spec     ServerSpec
+	VCoreCap int
 
 	// Per-server columns, indexed by dense fleet index via At(i).
 	ID           cow.Col[int]
@@ -41,16 +40,6 @@ type Flat struct {
 	DemandCores  cow.Col[float64]
 	Failed       cow.Col[bool]
 	Reserved     cow.Col[bool]
-}
-
-// vcoreCapSpec is vcoreCap for a bare spec (the per-server value is
-// uniform across a fleet built by New).
-func (c *Cluster) vcoreCapSpec(spec ServerSpec) int {
-	capV := spec.PCores
-	if c.Policy.CPUOversubRatio > 0 && spec.Overclockable {
-		capV = int(float64(spec.PCores) * (1 + c.Policy.CPUOversubRatio))
-	}
-	return capV
 }
 
 // ExportFlat fills dst from the cluster's current state. When dst is
@@ -63,8 +52,7 @@ func (c *Cluster) vcoreCapSpec(spec ServerSpec) int {
 func (c *Cluster) ExportFlat(dst *Flat) {
 	dst.Servers = len(c.servers)
 	dst.Spec = c.Spec
-	dst.OversubRatio = c.Policy.CPUOversubRatio
-	dst.VCoreCap = c.vcoreCapSpec(c.Spec)
+	dst.VCoreCap = c.idx.capV
 	dst.PlacedVMs = c.placedCount
 	dst.Density = c.Density()
 

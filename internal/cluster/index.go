@@ -7,7 +7,7 @@ import "math/bits"
 //
 // Every server in the fleet shares one ServerSpec and one policy, so
 // the vcore cap is uniform: a server's placement headroom is fully
-// described by r = vcoreCap − vcoresUse ∈ [0, capV]. buckets[r] is a
+// described by r = capV − vcoresUse ∈ [0, capV]. buckets[r] is a
 // bitmap over server IDs (ID == slice position in Cluster.servers)
 // holding exactly the non-failed, non-reserved servers with that
 // headroom; summaries[r] is a second-level bitmap with one bit per
@@ -109,7 +109,7 @@ func (ix *placeIndex) scan(minR int, visit func(id int) bool) bool {
 // headroom returns the server's current index key. Only meaningful for
 // indexed (non-failed, non-reserved) servers.
 func (c *Cluster) headroom(s *Server) int {
-	r := c.vcoreCap(s) - s.vcoresUse
+	r := c.idx.capV - s.vcoresUse
 	if r < 0 {
 		r = 0
 	}
@@ -124,6 +124,8 @@ func (c *Cluster) indexed(s *Server) bool {
 // rebuildIndex reconstructs the placement index from scratch. Called
 // at construction and whenever the vcore cap changes (runtime
 // oversubscription policy flips), which re-keys every server at once.
+// It computes the vcore cap, the per-server allocation limit under the
+// policy, that placement, headroom and ExportFlat read from c.idx.capV.
 func (c *Cluster) rebuildIndex() {
 	capV := c.Spec.PCores
 	if c.Policy.CPUOversubRatio > 0 && c.Spec.Overclockable {

@@ -18,7 +18,7 @@ func linearBestFit(c *Cluster, v *vm.VM) *Server {
 		if !c.fits(s, v, false) {
 			continue
 		}
-		left := c.vcoreCap(s) - s.vcoresUse - v.Type.VCores
+		left := c.idx.capV - s.vcoresUse - v.Type.VCores
 		if left < bestLeft || (left == bestLeft && best != nil && s.ID < best.ID) {
 			best, bestLeft = s, left
 		}

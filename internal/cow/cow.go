@@ -100,25 +100,9 @@ func NewTracker(n int, shift uint) *Tracker {
 // Len returns the tracked element count.
 func (t *Tracker) Len() int { return t.n }
 
-// ChunkSize returns the elements per chunk.
-func (t *Tracker) ChunkSize() int { return 1 << t.shift }
-
 // Mark records that element i changed in the current generation.
 func (t *Tracker) Mark(i int) {
 	t.lastMod[i>>t.shift] = t.gen
-	t.maxMod = t.gen
-}
-
-// MarkRange records that elements [lo, hi) changed. Like all marks it
-// must be serialized with other tracker use (server ranges need not be
-// chunk-aligned, so ranges from different callers may share a chunk).
-func (t *Tracker) MarkRange(lo, hi int) {
-	if hi <= lo {
-		return
-	}
-	for ci := lo >> t.shift; ci <= (hi-1)>>t.shift; ci++ {
-		t.lastMod[ci] = t.gen
-	}
 	t.maxMod = t.gen
 }
 

@@ -107,7 +107,7 @@ func compareSnapshots(t *testing.T, round int, a, b *FleetSnapshot) {
 	}
 	fa, fb := &a.Flat, &b.Flat
 	if fa.Servers != fb.Servers || fa.PlacedVMs != fb.PlacedVMs || fa.Density != fb.Density ||
-		fa.Spec != fb.Spec || fa.OversubRatio != fb.OversubRatio || fa.VCoreCap != fb.VCoreCap {
+		fa.Spec != fb.Spec || fa.VCoreCap != fb.VCoreCap {
 		t.Fatalf("round %d: flat scalar mismatch", round)
 	}
 	for i := 0; i < fa.Servers; i++ {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -225,12 +226,12 @@ func Tables() []Experiment {
 	return out
 }
 
-// WithTag returns the experiments carrying the tag, in presentation
-// order.
-func WithTag(tag string) []Experiment {
+// WithTags returns the experiments carrying any of the tags, in
+// presentation order.
+func WithTags(tags ...string) []Experiment {
 	var out []Experiment
 	for _, e := range All() {
-		if e.HasTag(tag) {
+		if slices.ContainsFunc(tags, e.HasTag) {
 			out = append(out, e)
 		}
 	}

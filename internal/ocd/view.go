@@ -188,9 +188,9 @@ func (d *Daemon) serveFilter(w http.ResponseWriter, r *http.Request) {
 }
 
 // servePrioritize answers /v1/prioritize from the published view,
-// replicating prioritizeLocked's scoring arithmetic expression for
-// expression (the fleet is spec-uniform, so the capacity term hoists
-// out of the loop).
+// replicating prioritizeLocked's scoring arithmetic (the fleet is
+// spec-uniform, so the capacity term is the view's one VCoreCap: the
+// truncated cap equals the oracle's floored one).
 func (d *Daemon) servePrioritize(w http.ResponseWriter, r *http.Request) {
 	d.requests.Inc()
 	sc := d.scratch.Get().(*servScratch)
@@ -211,10 +211,7 @@ func (d *Daemon) servePrioritize(w http.ResponseWriter, r *http.Request) {
 	}
 	view := d.snap.Load()
 	flat := &view.Flat
-	capV := float64(flat.Spec.PCores)
-	if flat.OversubRatio > 0 && flat.Spec.Overclockable {
-		capV = math.Floor(capV * (1 + flat.OversubRatio))
-	}
+	capV := float64(flat.VCoreCap)
 	vcores := float64(sc.preq.VM.VCores)
 	sc.scores = sc.scores[:0]
 	for _, i := range sc.preq.Servers {

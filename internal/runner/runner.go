@@ -1,9 +1,7 @@
-// Package runner executes registered experiments concurrently through
-// a bounded worker pool. It is the substrate every evaluation entry
-// point fans out through: octl drives it for the CLI, the benchmarks
-// measure it, and future parameter sweeps and calibration searches are
-// expected to submit thousands of experiment evaluations through the
-// same engine.
+// Package runner executes registered experiments concurrently, one
+// sweep.Map cell per experiment. It is the substrate every evaluation
+// entry point fans out through: octl drives it for the CLI and the
+// benchmarks measure it.
 //
 // The engine provides, per run:
 //
@@ -16,10 +14,9 @@
 //     timed-out simulation stops mid-run instead of completing),
 //   - per-experiment timeouts (Config.Timeout),
 //   - panic isolation (a panicking experiment reports an error with
-//     its stack instead of killing the run),
-//   - bounded retries for flaky harnesses (Config.Retries), and
-//   - per-experiment observability: wall time, result row count,
-//     attempt count and pass/fail, aggregated into a Report with
+//     its stack instead of killing the run), and
+//   - per-experiment observability: wall time, result row count and
+//     pass/fail, aggregated into a Report with
 //     latency percentiles and a telemetry snapshot (Config.Metrics)
 //     carrying each experiment's engine metrics under a scope named
 //     after it.
@@ -29,10 +26,11 @@
 // one.
 //
 // Worker slots are tokens in a budget shared with internal/sweep
-// (sweep.Shared unless Config.Budget overrides it): each worker holds
-// a token while its experiment runs, and an experiment that fans its
-// own grid out through sweep.Map lends that token to its cells while
-// the worker blocks on them. The requested worker count therefore
+// (sweep.Shared unless Config.Budget overrides it): each experiment
+// runs holding a token — with one worker too, as Map's serial path
+// holds one of an explicitly passed budget — and an experiment that
+// fans its own grid out through sweep.Map lends that token to its
+// cells while it blocks on them. The requested worker count therefore
 // bounds total live parallelism — experiments plus sweep cells — and
 // the resolved count is threaded into experiments.Options.Workers so
 // `octl -j` reaches inside each experiment's grid loops.
@@ -55,43 +53,38 @@ import (
 )
 
 // Config tunes one Run call. The zero value runs with GOMAXPROCS
-// workers, no per-experiment timeout and no retries.
+// workers and no per-experiment timeout.
 type Config struct {
 	// Workers bounds the number of experiments executing at once.
 	// Non-positive means runtime.GOMAXPROCS(0).
 	Workers int
-	// Timeout, when positive, bounds each experiment attempt; the
-	// attempt's context is cancelled at the deadline. Experiments honor
-	// cancellation at their internal simulation boundaries.
+	// Timeout, when positive, bounds each experiment; its context is
+	// cancelled at the deadline. Experiments honor cancellation at
+	// their internal simulation boundaries.
 	Timeout time.Duration
-	// Retries is the number of times a failing experiment is re-run
-	// before its error is reported. Panics and timeouts count as
-	// failures; context cancellation is never retried.
-	Retries int
 	// Options is passed to every experiment. The zero value reproduces
 	// the published tables.
 	Options experiments.Options
 	// OnDone, when non-nil, is called as each experiment finishes with
-	// its submission index and outcome. It may be called from multiple
-	// worker goroutines concurrently; the callback must be safe for
-	// that.
+	// its submission index and outcome, and once for each experiment
+	// skipped by cancellation. It may be called from multiple worker
+	// goroutines concurrently; the callback must be safe for that. Run
+	// re-raises a panic in OnDone.
 	OnDone func(i int, o Outcome)
 	// Metrics selects the telemetry registry for the run. Nil (the
 	// zero value) gives the run a fresh registry so concurrent Run
-	// calls do not mix; pass telemetry.Default to publish into the
-	// process-wide registry, or telemetry.Off to disable collection.
+	// calls do not mix; pass telemetry.Off to disable collection.
 	// Each experiment's harness metrics land under a scope named
 	// after the experiment; the runner's own counters land under
 	// "runner".
 	Metrics *telemetry.Registry
 	// Budget is the worker-token pool shared between the runner and
 	// the intra-experiment sweeps. Nil uses sweep.Shared, the
-	// process-wide budget. Each worker holds a token while its
-	// experiment runs and lends it to the experiment's sweep cells
-	// while blocked on them, so experiments × cells never exceed the
-	// budget's capacity. The budget is grown to the requested worker
-	// count, never shrunk, so the runner's own parallelism is never
-	// throttled below Workers.
+	// process-wide budget. Each experiment runs holding a token and
+	// lends it to its sweep cells while blocked on them, so
+	// experiments × cells never exceed the budget's capacity. The
+	// budget is grown to the requested worker count, never shrunk, so
+	// the runner's own parallelism is never throttled below Workers.
 	Budget *sweep.Budget
 }
 
@@ -101,19 +94,16 @@ type Outcome struct {
 	Name string
 	// Result holds the artifact when Err is nil.
 	Result experiments.Result
-	// Err is the experiment error, the recovered panic, the attempt
-	// timeout, or the run's cancellation error.
+	// Err is the experiment error, the recovered panic, the
+	// experiment's timeout, or the run's cancellation error.
 	Err error
-	// Wall is the total wall-clock time spent on the experiment across
-	// all attempts. Zero for experiments skipped by cancellation.
+	// Wall is the wall-clock time spent on the experiment. Zero for
+	// experiments skipped by cancellation.
 	Wall time.Duration
 	// Rows is the structured row count of the result (0 for plots and
 	// failures).
 	Rows int
-	// Attempts is the number of times the experiment ran (0 when it
-	// was skipped by cancellation).
-	Attempts int
-	// Panicked reports whether the final attempt ended in a recovered
+	// Panicked reports whether the experiment ended in a recovered
 	// panic.
 	Panicked bool
 }
@@ -205,21 +195,15 @@ func (r *Report) Slowest() Outcome {
 
 // Summary renders the one-line run footer octl prints.
 func (r *Report) Summary() string {
-	ok, retried := 0, 0
+	ok := 0
 	for _, o := range r.Outcomes {
 		if o.OK() {
 			ok++
-		}
-		if o.Attempts > 1 {
-			retried++
 		}
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d experiments in %s (%d workers): %d ok, %d failed",
 		len(r.Outcomes), round(r.Wall), r.Workers, ok, len(r.Outcomes)-ok)
-	if retried > 0 {
-		fmt.Fprintf(&b, ", %d retried", retried)
-	}
 	if len(r.Outcomes) > 0 {
 		slow := r.Slowest()
 		fmt.Fprintf(&b, "; exp wall p50=%s p95=%s max=%s (%s); serial cost %s",
@@ -240,7 +224,7 @@ func round(d time.Duration) time.Duration {
 	return d
 }
 
-// Run executes the experiments through the worker pool and returns
+// Run executes the experiments, one sweep.Map cell each, and returns
 // when every submitted experiment has either finished or been skipped
 // by cancellation. Outcomes appear in submission order. Run never
 // panics because of an experiment; it is safe to call concurrently
@@ -281,122 +265,86 @@ func Run(ctx context.Context, exps []experiments.Experiment, cfg Config) *Report
 	}
 	rm := runMetrics{
 		attempts: reg.Scope("runner").Counter("attempts"),
-		retries:  reg.Scope("runner").Counter("retries"),
 		panics:   reg.Scope("runner").Counter("panics"),
 		failures: reg.Scope("runner").Counter("failures"),
 		skipped:  reg.Scope("runner").Counter("skipped"),
 		wall:     reg.Scope("runner").Histogram("wall_s", telemetry.WallBuckets),
 	}
 
-	jobs := make(chan int, len(exps))
-	for i := range exps {
-		jobs <- i
-	}
-	close(jobs)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				var o Outcome
-				if lease, err := acquireSlot(ctx, budget); err != nil {
-					// The run was cancelled: mark the remaining
-					// experiments without starting them.
-					o = Outcome{Name: exps[i].Name, Err: err}
-					rm.skipped.Inc()
-				} else {
-					// The experiment runs holding a budget token; its
-					// context carries the lease so a sweep inside can
-					// lend the slot to its cells while this worker
-					// blocks on them.
-					o = runOne(sweep.Attach(ctx, lease), exps[i], cfg, reg, rm)
-					lease.Release()
-				}
-				report.Outcomes[i] = o
-				if cfg.OnDone != nil {
-					cfg.OnDone(i, o)
-				}
+	// Each cell runs holding a token of budget, which its context
+	// carries so a sweep inside can lend the slot to its own cells. A
+	// cell never fails, so a failing experiment does not cancel its
+	// siblings; only ctx can stop the run, and Map then leaves the
+	// cells it did not start nil.
+	ran, err := sweep.Map(ctx, len(exps), sweep.Options{Workers: workers, Budget: budget},
+		func(ctx context.Context, i int) (*Outcome, error) {
+			o := runOne(ctx, exps[i], cfg, reg, rm)
+			if cfg.OnDone != nil {
+				cfg.OnDone(i, o)
 			}
-		}()
+			return &o, nil
+		})
+	if err != nil && ctx.Err() == nil {
+		// runOne recovers experiment panics, so this is a panic in
+		// OnDone, which Map recovered: re-raise it.
+		panic(err)
 	}
-	wg.Wait()
+	for i, o := range ran {
+		if o == nil {
+			o = &Outcome{Name: exps[i].Name, Err: ctx.Err()}
+			rm.skipped.Inc()
+			if cfg.OnDone != nil {
+				cfg.OnDone(i, *o)
+			}
+		}
+		report.Outcomes[i] = *o
+	}
 	report.Wall = time.Since(start)
 	report.Telemetry = reg.Snapshot()
 	return report
 }
 
-// acquireSlot takes a budget token, refusing outright when the run is
-// already cancelled (a free token must not resurrect a skipped
-// experiment).
-func acquireSlot(ctx context.Context, b *sweep.Budget) (*sweep.Lease, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return b.Acquire(ctx)
-}
-
 // runMetrics holds the runner's own telemetry handles (all nil no-ops
 // when collection is off).
 type runMetrics struct {
-	attempts, retries, panics, failures, skipped *telemetry.Counter
-	wall                                         *telemetry.Histogram
+	attempts, panics, failures, skipped *telemetry.Counter
+	wall                                *telemetry.Histogram
 }
 
-// runOne executes a single experiment with retries. The experiment's
-// harness publishes its engine metrics into a scope keyed by the
-// experiment name.
-func runOne(ctx context.Context, e experiments.Experiment, cfg Config, reg *telemetry.Registry, rm runMetrics) Outcome {
-	out := Outcome{Name: e.Name}
+// runOne executes a single experiment under the per-experiment
+// timeout, converting a panic into an error carrying the stack. The
+// experiment's harness publishes its engine metrics into a scope keyed
+// by the experiment name.
+func runOne(ctx context.Context, e experiments.Experiment, cfg Config, reg *telemetry.Registry, rm runMetrics) (out Outcome) {
+	out.Name = e.Name
 	cfg.Options.Tel = reg.Scope(e.Name)
-	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		out.Attempts = attempt + 1
-		rm.attempts.Inc()
-		if attempt > 0 {
-			rm.retries.Inc()
-		}
-		res, panicked, err := attemptOne(ctx, e, cfg)
-		out.Panicked = panicked
-		out.Err = err
-		if panicked {
-			rm.panics.Inc()
-		}
-		if err == nil {
-			out.Result = res
-			out.Rows = res.RowCount()
-			break
-		}
-		if attempt >= cfg.Retries || ctx.Err() != nil {
-			break
-		}
-	}
-	if out.Err != nil {
-		rm.failures.Inc()
-	}
-	out.Wall = time.Since(start)
-	rm.wall.Observe(out.Wall.Seconds())
-	return out
-}
-
-// attemptOne makes one attempt under the per-attempt timeout,
-// converting a panic into an error carrying the stack.
-func attemptOne(ctx context.Context, e experiments.Experiment, cfg Config) (res experiments.Result, panicked bool, err error) {
-	actx := ctx
 	if cfg.Timeout > 0 {
 		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, cfg.Timeout)
+		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		defer cancel()
 	}
+	rm.attempts.Inc()
+	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
-			panicked = true
-			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+			out.Panicked = true
+			out.Err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+			rm.panics.Inc()
 		}
+		if out.Err != nil {
+			rm.failures.Inc()
+		}
+		out.Wall = time.Since(start)
+		rm.wall.Observe(out.Wall.Seconds())
 	}()
-	res, err = e.Run(actx, cfg.Options)
+	res, err := e.Run(ctx, cfg.Options)
+	if err != nil {
+		out.Err = err
+		return out
+	}
 	// An experiment that returns success after its deadline passed
 	// raced the timeout; the artifact is still good, keep it.
-	return res, false, err
+	out.Result = res
+	out.Rows = res.RowCount()
+	return out
 }

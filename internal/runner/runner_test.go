@@ -88,6 +88,28 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestOnDonePanicReraised: Map recovers a panicking cell into an
+// error, so Run re-raises a panic in OnDone instead of reporting the
+// unstarted experiments as successes.
+func TestOnDonePanicReraised(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "ondone") {
+					t.Fatalf("workers=%d: recovered %v, want the OnDone panic", workers, p)
+				}
+			}()
+			var panicked atomic.Bool
+			Run(context.Background(), []experiments.Experiment{okFake("a"), okFake("b"), okFake("c")},
+				Config{Workers: workers, OnDone: func(int, Outcome) {
+					if !panicked.Swap(true) {
+						panic("ondone")
+					}
+				}})
+		}()
+	}
+}
+
 func TestErrorsCollectedNotFatal(t *testing.T) {
 	wantErr := errors.New("no data")
 	exps := []experiments.Experiment{
@@ -116,7 +138,14 @@ func TestCancellationStopsPromptly(t *testing.T) {
 			return tableFor("long"), nil
 		}
 	})
-	exps := []experiments.Experiment{blocking, okFake("queued1"), okFake("queued2")}
+	var queuedRuns atomic.Int64
+	queued := func(name string) experiments.Experiment {
+		return fake(name, func(ctx context.Context, o experiments.Options) (experiments.Result, error) {
+			queuedRuns.Add(1)
+			return tableFor(name), nil
+		})
+	}
+	exps := []experiments.Experiment{blocking, queued("queued1"), queued("queued2")}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -134,9 +163,9 @@ func TestCancellationStopsPromptly(t *testing.T) {
 		if !errors.Is(o.Err, context.Canceled) {
 			t.Fatalf("queued experiment %q err = %v, want cancellation", o.Name, o.Err)
 		}
-		if o.Attempts != 0 {
-			t.Fatalf("queued experiment %q ran %d times after cancel", o.Name, o.Attempts)
-		}
+	}
+	if n := queuedRuns.Load(); n != 0 {
+		t.Fatalf("queued experiments ran %d times after cancel", n)
 	}
 }
 
@@ -154,27 +183,6 @@ func TestPerExperimentTimeout(t *testing.T) {
 	}
 	if !r.Outcomes[1].OK() {
 		t.Fatal("timeout leaked into the sibling experiment")
-	}
-}
-
-func TestRetries(t *testing.T) {
-	var calls atomic.Int64
-	flaky := fake("flaky", func(ctx context.Context, o experiments.Options) (experiments.Result, error) {
-		if calls.Add(1) < 3 {
-			return experiments.Result{}, errors.New("transient")
-		}
-		return tableFor("flaky"), nil
-	})
-	r := Run(context.Background(), []experiments.Experiment{flaky}, Config{Retries: 2})
-	o := r.Outcomes[0]
-	if !o.OK() || o.Attempts != 3 {
-		t.Fatalf("outcome %+v, want success on attempt 3", o)
-	}
-
-	calls.Store(0)
-	r = Run(context.Background(), []experiments.Experiment{flaky}, Config{Retries: 1})
-	if o := r.Outcomes[0]; o.OK() || o.Attempts != 2 {
-		t.Fatalf("outcome %+v, want failure after 2 attempts", o)
 	}
 }
 
@@ -197,9 +205,9 @@ func TestOnDoneStreams(t *testing.T) {
 
 func TestReportAggregates(t *testing.T) {
 	r := &Report{Outcomes: []Outcome{
-		{Name: "a", Wall: 1 * time.Second, Attempts: 1},
-		{Name: "b", Wall: 3 * time.Second, Attempts: 1},
-		{Name: "c", Wall: 2 * time.Second, Attempts: 2, Err: errors.New("x")},
+		{Name: "a", Wall: 1 * time.Second},
+		{Name: "b", Wall: 3 * time.Second},
+		{Name: "c", Wall: 2 * time.Second, Err: errors.New("x")},
 	}, Wall: 3 * time.Second, Workers: 3}
 	if got := r.TotalExperimentTime(); got != 6*time.Second {
 		t.Fatalf("total = %v", got)
@@ -214,7 +222,7 @@ func TestReportAggregates(t *testing.T) {
 		t.Fatalf("p0 = %v", got)
 	}
 	s := r.Summary()
-	for _, want := range []string{"3 experiments", "2 ok, 1 failed", "1 retried", "max=3s (b)"} {
+	for _, want := range []string{"3 experiments", "2 ok, 1 failed", "max=3s (b)"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("summary %q missing %q", s, want)
 		}
@@ -227,7 +235,7 @@ func TestReportAggregates(t *testing.T) {
 // intra-experiment fan-out crosses the parallel path — without the
 // full evaluation cost.
 func determinismSet(t *testing.T) ([]experiments.Experiment, experiments.Options) {
-	set := experiments.WithTag("fast")
+	set := experiments.WithTags("fast")
 	if len(set) < 10 {
 		t.Fatalf("only %d fast experiments registered", len(set))
 	}
@@ -349,11 +357,11 @@ func TestReportTelemetry(t *testing.T) {
 			o.Tel.Histogram("lat_s", telemetry.LatencyBuckets).Observe(0.004)
 			return tableFor("writer"), nil
 		}),
-		fake("flaky", func(ctx context.Context, o experiments.Options) (experiments.Result, error) {
-			return experiments.Result{}, errors.New("transient")
+		fake("failing", func(ctx context.Context, o experiments.Options) (experiments.Result, error) {
+			return experiments.Result{}, errors.New("no data")
 		}),
 	}
-	r := Run(context.Background(), exps, Config{Workers: 2, Retries: 1})
+	r := Run(context.Background(), exps, Config{Workers: 2})
 	if r.Telemetry == nil {
 		t.Fatal("report carries no telemetry snapshot")
 	}
@@ -371,8 +379,8 @@ func TestReportTelemetry(t *testing.T) {
 	if !ok {
 		t.Fatal("no runner scope")
 	}
-	// writer ran once, flaky ran twice (one retry) and failed.
-	if rn.Counters["attempts"] != 3 || rn.Counters["retries"] != 1 || rn.Counters["failures"] != 1 {
+	// writer and failing ran once each, and failing failed.
+	if rn.Counters["attempts"] != 2 || rn.Counters["failures"] != 1 {
 		t.Fatalf("runner counters = %v", rn.Counters)
 	}
 	if h := rn.Histograms["wall_s"]; h.Count != 2 {
@@ -457,9 +465,6 @@ func TestCancellationPromise(t *testing.T) {
 		t.Fatalf("cancelled diurnal run took %s", wall)
 	}
 	o := r.Outcomes[0]
-	if o.Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (cancellation is never retried)", o.Attempts)
-	}
 	if !errors.Is(o.Err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled from inside the simulation", o.Err)
 	}
@@ -521,6 +526,38 @@ func TestSharedBudgetNeverExceeded(t *testing.T) {
 	}
 	if c := budget.Cap(); c != capTokens {
 		t.Fatalf("budget cap changed to %d", c)
+	}
+}
+
+// TestOneWorkerKeepsBudget: a one-worker run still holds a token of
+// Config.Budget while its experiment runs and lends it to the
+// experiment's sweeps, so an inner fan-out draws from the run's budget
+// and not from sweep.Shared.
+func TestOneWorkerKeepsBudget(t *testing.T) {
+	budget := sweep.NewBudget(2)
+	var underBudget atomic.Int64
+	e := fake("sweeper", func(ctx context.Context, o experiments.Options) (experiments.Result, error) {
+		_, err := sweep.Map(ctx, 4, sweep.Options{Workers: 4},
+			func(ctx context.Context, j int) (int, error) {
+				if budget.Used() > 0 {
+					underBudget.Add(1)
+				}
+				return j, nil
+			})
+		if err != nil {
+			return experiments.Result{}, err
+		}
+		return tableFor("sweeper"), nil
+	})
+	r := Run(context.Background(), []experiments.Experiment{e}, Config{Workers: 1, Budget: budget})
+	if !r.Outcomes[0].OK() {
+		t.Fatal(r.Outcomes[0].Err)
+	}
+	if n := underBudget.Load(); n != 4 {
+		t.Fatalf("%d of 4 inner cells ran holding a token of the run's budget", n)
+	}
+	if u := budget.Used(); u != 0 {
+		t.Fatalf("budget leaks %d tokens after the run", u)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package stats provides the streaming statistics used throughout the
 // experiments: exact percentile digests for latency distributions,
 // rolling time-windowed averages for the auto-scaler's utilization
-// monitors, histograms, and simple time-series recording for figure
-// regeneration.
+// monitors, and simple time-series recording for figure regeneration.
 package stats
 
 import (
@@ -110,21 +109,6 @@ func (d *Digest) Mean() float64 {
 		return 0
 	}
 	return d.sum / float64(d.count)
-}
-
-// Merge folds every sample of o into d, leaving o untouched. Workers
-// that each record into a private digest merge them into one digest
-// for the final quantile queries; the result is identical to having
-// recorded all samples into d directly.
-func (d *Digest) Merge(o *Digest) {
-	if o == nil {
-		return
-	}
-	for _, c := range o.chunks {
-		for _, v := range c {
-			d.Add(v)
-		}
-	}
 }
 
 // Reset discards all samples but keeps the chunks, so a warmed digest
@@ -274,22 +258,6 @@ func (d *Digest) Max() float64 { return d.Quantile(1) }
 // Min returns the smallest sample, Quantile(0) (0 for empty).
 func (d *Digest) Min() float64 { return d.Quantile(0) }
 
-// Stddev returns the population standard deviation.
-func (d *Digest) Stddev() float64 {
-	if d.count == 0 {
-		return 0
-	}
-	mean := d.Mean()
-	var ss float64
-	for _, c := range d.chunks {
-		for _, v := range c {
-			dv := v - mean
-			ss += dv * dv
-		}
-	}
-	return math.Sqrt(ss / float64(d.count))
-}
-
 // Window is a rolling time window of (time, value) samples. The
 // auto-scaler uses Windows to compute "average CPU utilization over the
 // last 3 minutes / 30 seconds" exactly as the paper describes.
@@ -341,9 +309,6 @@ func (w *Window) Mean() float64 {
 
 // Len returns the number of retained samples.
 func (w *Window) Len() int { return len(w.values) }
-
-// Span returns the configured window span in seconds.
-func (w *Window) Span() float64 { return w.span }
 
 // Last returns the most recent sample value (0 when empty).
 func (w *Window) Last() float64 {
@@ -455,16 +420,6 @@ func (s *Series) Max() float64 {
 	return m
 }
 
-// TimeWeightedMean integrates the series as a step function over
-// [start, end] and divides by the span. Useful for VM-count integrals
-// (VM×hours) and average power.
-func (s *Series) TimeWeightedMean(start, end float64) float64 {
-	if end <= start {
-		return 0
-	}
-	return s.Integral(start, end) / (end - start)
-}
-
 // Integral integrates the step function defined by the series over
 // [start, end]. Each recorded value holds from its timestamp until the
 // next point (or end).
@@ -489,49 +444,3 @@ func (s *Series) Integral(start, end float64) float64 {
 	}
 	return total
 }
-
-// Histogram is a fixed-bucket histogram over [lo, hi).
-type Histogram struct {
-	lo, hi  float64
-	buckets []uint64
-	under   uint64
-	over    uint64
-	count   uint64
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if hi <= lo || n <= 0 {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]uint64, n)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(v float64) {
-	h.count++
-	switch {
-	case v < h.lo:
-		h.under++
-	case v >= h.hi:
-		h.over++
-	default:
-		i := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-		if i >= len(h.buckets) {
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.buckets) }
-
-// OutOfRange returns the counts of samples below lo and at/above hi.
-func (h *Histogram) OutOfRange() (under, over uint64) { return h.under, h.over }

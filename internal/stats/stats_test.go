@@ -64,16 +64,6 @@ func TestDigestReset(t *testing.T) {
 	}
 }
 
-func TestDigestStddev(t *testing.T) {
-	d := NewDigest()
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		d.Add(v)
-	}
-	if got := d.Stddev(); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("stddev %v, want 2", got)
-	}
-}
-
 func TestDigestQuantileOutOfRangePanics(t *testing.T) {
 	d := NewDigest()
 	d.Add(1)
@@ -370,9 +360,6 @@ func TestSeriesIntegral(t *testing.T) {
 	if got := s.Integral(0, 20); math.Abs(got-40) > 1e-9 {
 		t.Fatalf("integral %v, want 40", got)
 	}
-	if got := s.TimeWeightedMean(0, 20); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("time-weighted mean %v, want 2", got)
-	}
 }
 
 func TestSeriesIntegralPartial(t *testing.T) {
@@ -396,74 +383,6 @@ func TestSeriesMeanMax(t *testing.T) {
 	}
 	if s.Mean() != 1 {
 		t.Fatalf("mean %v", s.Mean())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(v)
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Fatalf("out of range %d/%d, want 1/2", under, over)
-	}
-	if h.Bucket(0) != 2 { // 0 and 1.9
-		t.Fatalf("bucket 0 = %d", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 { // 2
-		t.Fatalf("bucket 1 = %d", h.Bucket(1))
-	}
-	if h.Bucket(4) != 1 { // 9.99
-		t.Fatalf("bucket 4 = %d", h.Bucket(4))
-	}
-	if h.Count() != 7 {
-		t.Fatalf("count %d", h.Count())
-	}
-	if h.Buckets() != 5 {
-		t.Fatalf("buckets %d", h.Buckets())
-	}
-}
-
-func TestHistogramInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid bounds did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
-func TestDigestMerge(t *testing.T) {
-	// Recording 1..n split across three digests and merging must be
-	// indistinguishable from recording into one digest directly —
-	// including across chunk boundaries (n exceeds one chunk).
-	const n = 3000
-	want := NewDigest()
-	parts := []*Digest{NewDigest(), NewDigest(), NewDigest()}
-	for i := 0; i < n; i++ {
-		v := float64((i * 7919) % n)
-		want.Add(v)
-		parts[i%3].Add(v)
-	}
-	got := NewDigest()
-	for _, p := range parts {
-		got.Merge(p)
-	}
-	got.Merge(nil) // no-op
-	got.Merge(NewDigest())
-	if got.Count() != want.Count() || got.Sum() != want.Sum() {
-		t.Fatalf("merge: count/sum (%d, %v) != direct (%d, %v)",
-			got.Count(), got.Sum(), want.Count(), want.Sum())
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.99, 0.999, 1} {
-		if g, w := got.Quantile(q), want.Quantile(q); g != w {
-			t.Fatalf("merge: q%v = %v, want %v", q, g, w)
-		}
-	}
-	// Sources must be untouched by the merge.
-	if parts[0].Count() != n/3 {
-		t.Fatalf("merge consumed the source digest")
 	}
 }
 

@@ -12,19 +12,19 @@
 //   - Determinism. Results land in the output slice by cell index,
 //     never by completion order, so a sweep's output is byte-for-byte
 //     identical at any worker count. Cells must be independent: each
-//     derives its randomness from its own seed (see CellSeed), and any
-//     state shared between cells — load schedules, traces, calibrated
-//     tables — is generated once before the fan-out and read
-//     immutably afterwards.
+//     derives its randomness from a seed the harness fixed before the
+//     fan-out, and any state shared between cells — load schedules,
+//     traces, calibrated tables — is generated once before the fan-out
+//     and read immutably afterwards.
 //   - Budget sharing. Workers are tokens in a Budget (the package
 //     Shared budget by default, sized GOMAXPROCS and grown to octl's
-//     -j). A runner worker holds a token while experiment code runs;
-//     when that code blocks inside Map waiting for its cells, Map
-//     releases the caller's token back to the budget — the cells
-//     borrow the very slot their parent freed — and re-acquires it
-//     before returning. Tokens are therefore only ever held by code
-//     that is actually running, and total concurrency stays at the
-//     budget's capacity no matter how deeply sweeps nest.
+//     -j). Each worker of a parallel Map holds a token while its cells
+//     run and attaches it to their context; when a cell blocks inside
+//     a nested Map waiting for its own cells, that Map releases the
+//     caller's token back to the budget — the cells borrow the very
+//     slot their parent freed — and re-acquires it before returning. Tokens are therefore only ever
+//     held by code that is actually running, and total concurrency
+//     stays at the budget's capacity no matter how deeply sweeps nest.
 //   - Cancellation. A cancelled context stops the sweep promptly:
 //     running cells see the cancellation through their cell context
 //     (the simulation kernels poll it at their event batches),
@@ -41,8 +41,10 @@
 //     deterministic instead of racing on last-write.
 //
 // With Workers ≤ 1 Map degenerates to the plain serial loop it
-// replaced — no goroutines, no budget traffic — so a serial sweep
-// costs what the original loop cost.
+// replaced — no goroutines, and no budget traffic unless the caller
+// passes a Budget explicitly — so a serial sweep costs what the
+// original loop cost. The runner passes its budget, so a one-worker
+// run still holds a token for its experiments' sweeps to lend.
 package sweep
 
 import (
@@ -112,13 +114,13 @@ func (b *Budget) Grow(n int) {
 	}
 }
 
-// Acquire blocks until a token is free (or ctx is done) and returns
-// the held Lease.
-func (b *Budget) Acquire(ctx context.Context) (*Lease, error) {
+// acquireLease blocks until a token is free (or ctx is done) and
+// returns the held lease.
+func (b *Budget) acquireLease(ctx context.Context) (*lease, error) {
 	if err := b.acquire(ctx); err != nil {
 		return nil, err
 	}
-	return &Lease{b: b, held: true}, nil
+	return &lease{b: b, held: true}, nil
 }
 
 func (b *Budget) acquire(ctx context.Context) error {
@@ -168,22 +170,22 @@ func (b *Budget) releaseLocked() {
 	}
 	b.used--
 	if b.used < 0 {
-		panic("sweep: Release without Acquire")
+		panic("sweep: token released without being acquired")
 	}
 }
 
-// Lease is one held budget token. The runner attaches its worker's
-// lease to the experiment context; Map lends it out while the caller
-// blocks. Release is idempotent and a nil lease no-ops everywhere.
-type Lease struct {
+// lease is one held budget token. Map attaches each worker's lease to
+// its cells' context, and a nested Map lends it out while the cell
+// blocks. release is idempotent and a nil lease no-ops everywhere.
+type lease struct {
 	b    *Budget
 	mu   sync.Mutex
 	held bool
 }
 
-// Release returns the token to the budget. Releasing an unheld or nil
+// release returns the token to the budget. Releasing an unheld or nil
 // lease is a no-op, so cleanup paths need no state tracking.
-func (l *Lease) Release() {
+func (l *lease) release() {
 	if l == nil {
 		return
 	}
@@ -196,9 +198,9 @@ func (l *Lease) Release() {
 	}
 }
 
-// Reacquire blocks until the lease holds a token again (no-op when it
+// reacquire blocks until the lease holds a token again (no-op when it
 // already does, or for a nil lease).
-func (l *Lease) Reacquire(ctx context.Context) error {
+func (l *lease) reacquire(ctx context.Context) error {
 	if l == nil {
 		return nil
 	}
@@ -218,7 +220,7 @@ func (l *Lease) Reacquire(ctx context.Context) error {
 }
 
 // budget returns the budget the lease draws from (nil-safe).
-func (l *Lease) budget() *Budget {
+func (l *lease) budget() *Budget {
 	if l == nil {
 		return nil
 	}
@@ -227,31 +229,16 @@ func (l *Lease) budget() *Budget {
 
 type leaseKey struct{}
 
-// Attach returns a context carrying the caller's held lease. Map uses
-// it to lend the slot out while the caller blocks on the sweep.
-func Attach(ctx context.Context, l *Lease) context.Context {
-	if l == nil {
-		return ctx
-	}
+// attach returns a context carrying a held lease, so a Map inside can
+// lend the slot out while the holder blocks on the sweep.
+func attach(ctx context.Context, l *lease) context.Context {
 	return context.WithValue(ctx, leaseKey{}, l)
 }
 
-// leaseFrom extracts the lease Attach stored, if any.
-func leaseFrom(ctx context.Context) *Lease {
-	l, _ := ctx.Value(leaseKey{}).(*Lease)
+// leaseFrom extracts the lease attach stored, if any.
+func leaseFrom(ctx context.Context) *lease {
+	l, _ := ctx.Value(leaseKey{}).(*lease)
 	return l
-}
-
-// CellSeed derives a per-cell RNG seed from a base seed and a cell
-// index via a splitmix64 step, so neighboring cells get decorrelated
-// streams. Harnesses converted from serial loops keep their original
-// ad-hoc formulas (the published outputs depend on them); new sweeps
-// should use this.
-func CellSeed(base uint64, i int) uint64 {
-	z := base + 0x9e3779b97f4a7c15*uint64(i+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Options tunes one Map call. The zero value runs the grid serially
@@ -262,9 +249,11 @@ type Options struct {
 	// serially with no goroutines; the runner threads octl's -j here
 	// through experiments.Options.
 	Workers int
-	// Budget is the token pool cells draw from. Nil uses the lease
-	// attached to ctx (the runner's budget) and falls back to Shared,
-	// so sweeps always share slots with the runner by default.
+	// Budget is the token pool cells draw from. Nil uses the budget
+	// of the lease attached to ctx (the runner's) and falls back to
+	// Shared, so sweeps always share slots with the runner by default.
+	// A serial Map holds one token of an explicit Budget while its
+	// cells run, unless the caller already holds one.
 	Budget *Budget
 	// Tel, when non-nil, receives the sweep's own metrics: cells,
 	// cell_errors and cell_panics counters plus a cell_wall_s
@@ -277,9 +266,10 @@ type Options struct {
 // tokens; the caller's own token (if its context carries a lease) is
 // lent to the pool while Map blocks. On error Map cancels the
 // remaining cells and returns the lowest-indexed cell error alongside
-// the results gathered so far; a panicking cell becomes an error
-// carrying its stack. Cells must not share mutable state — anything
-// shared is generated before the call and read immutably.
+// the results gathered so far; a cell it did not start keeps its zero
+// value, and a panicking cell becomes an error carrying its stack.
+// Cells must not share mutable state — anything shared is generated
+// before the call and read immutably.
 func Map[T any](ctx context.Context, n int, o Options, cell func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
@@ -297,8 +287,18 @@ func Map[T any](ctx context.Context, n int, o Options, cell func(ctx context.Con
 		workers = n
 	}
 	if workers <= 1 {
-		// Serial fast path: the plain loop the sweep replaced. No
-		// goroutines, no budget traffic, no lease lending.
+		// Serial fast path: the plain loop the sweep replaced, in the
+		// caller's goroutine. A caller that holds no token and passes a
+		// budget gets one for the loop, which the cells' own sweeps
+		// lend as they would a parallel worker's.
+		if o.Budget != nil && leaseFrom(ctx) == nil {
+			l, err := o.Budget.acquireLease(ctx)
+			if err != nil {
+				return out, err
+			}
+			defer l.release()
+			ctx = attach(ctx, l)
+		}
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return out, err
@@ -328,14 +328,14 @@ func Map[T any](ctx context.Context, n int, o Options, cell func(ctx context.Con
 
 	// Lend the caller's slot to the cells for the duration of the
 	// fan-out: this goroutine only waits from here on.
-	parent.Release()
+	parent.release()
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var lease *Lease
-			defer func() { lease.Release() }()
+			var l *lease
+			defer func() { l.release() }()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -345,15 +345,14 @@ func Map[T any](ctx context.Context, n int, o Options, cell func(ctx context.Con
 					errs[i] = err
 					continue
 				}
-				if lease == nil {
-					l, err := budget.Acquire(cctx)
-					if err != nil {
+				if l == nil {
+					var err error
+					if l, err = budget.acquireLease(cctx); err != nil {
 						errs[i] = err
 						continue
 					}
-					lease = l
 				}
-				out[i], errs[i] = runCell(Attach(cctx, lease), i, cell, m)
+				out[i], errs[i] = runCell(attach(cctx, l), i, cell, m)
 				if errs[i] != nil {
 					cancel()
 				}
@@ -384,7 +383,7 @@ func Map[T any](ctx context.Context, n int, o Options, cell func(ctx context.Con
 	// Take the caller's slot back before resuming its code. Use the
 	// original ctx: cctx is cancelled on every exit from this
 	// function, successful or not.
-	if rerr := parent.Reacquire(ctx); err == nil {
+	if rerr := parent.reacquire(ctx); err == nil {
 		err = rerr
 	}
 	return out, err

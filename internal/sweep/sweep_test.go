@@ -38,7 +38,8 @@ func TestMapSerialParallelIdentical(t *testing.T) {
 	run := func(workers int) []uint64 {
 		out, err := Map(context.Background(), 20, Options{Workers: workers, Budget: NewBudget(8)},
 			func(ctx context.Context, i int) (uint64, error) {
-				return CellSeed(42, i), nil
+				z := 42 + 0x9e3779b97f4a7c15*uint64(i+1)
+				return z ^ z>>31, nil
 			})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -100,29 +101,33 @@ func TestBudgetNeverExceeded(t *testing.T) {
 
 // TestLeaseLending: a caller holding the budget's only token can still
 // fan out — Map lends the caller's slot to the cells and takes it back
-// afterwards. Without lending this deadlocks.
+// afterwards. Without lending this deadlocks. A serial Map given the
+// same budget runs its cells under the caller's token instead of
+// waiting for a second one.
 func TestLeaseLending(t *testing.T) {
 	b := NewBudget(1)
-	lease, err := b.Acquire(context.Background())
+	l, err := b.acquireLease(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(Attach(context.Background(), lease), 10*time.Second)
+	ctx, cancel := context.WithTimeout(attach(context.Background(), l), 10*time.Second)
 	defer cancel()
-	out, err := Map(ctx, 4, Options{Workers: 4},
-		func(ctx context.Context, i int) (int, error) { return i + 1, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("out[%d] = %d", i, v)
+	for _, o := range []Options{{Workers: 4}, {Workers: 1, Budget: b}} {
+		out, err := Map(ctx, 4, o,
+			func(ctx context.Context, i int) (int, error) { return i + 1, nil })
+		if err != nil {
+			t.Fatalf("workers=%d: %v", o.Workers, err)
+		}
+		for i, v := range out {
+			if v != i+1 {
+				t.Fatalf("workers=%d: out[%d] = %d", o.Workers, i, v)
+			}
+		}
+		if u := b.Used(); u != 1 {
+			t.Fatalf("workers=%d: caller's token not reacquired: used = %d, want 1", o.Workers, u)
 		}
 	}
-	if u := b.Used(); u != 1 {
-		t.Fatalf("caller's token not reacquired: used = %d, want 1", u)
-	}
-	lease.Release()
+	l.release()
 	if u := b.Used(); u != 0 {
 		t.Fatalf("used = %d after release, want 0", u)
 	}
@@ -222,13 +227,13 @@ func TestMapSerialStopsOnError(t *testing.T) {
 // capacity never shrinks.
 func TestBudgetGrow(t *testing.T) {
 	b := NewBudget(1)
-	l1, err := b.Acquire(context.Background())
+	l1, err := b.acquireLease(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	acquired := make(chan *Lease)
+	acquired := make(chan *lease)
 	go func() {
-		l, err := b.Acquire(context.Background())
+		l, err := b.acquireLease(context.Background())
 		if err != nil {
 			t.Error(err)
 		}
@@ -240,7 +245,7 @@ func TestBudgetGrow(t *testing.T) {
 	case <-time.After(10 * time.Millisecond):
 	}
 	b.Grow(2)
-	var l2 *Lease
+	var l2 *lease
 	select {
 	case l2 = <-acquired:
 	case <-time.After(5 * time.Second):
@@ -250,8 +255,8 @@ func TestBudgetGrow(t *testing.T) {
 	if c := b.Cap(); c != 2 {
 		t.Fatalf("cap = %d after Grow(1), want 2", c)
 	}
-	l1.Release()
-	l2.Release()
+	l1.release()
+	l2.release()
 	if u := b.Used(); u != 0 {
 		t.Fatalf("used = %d, want 0", u)
 	}
@@ -261,14 +266,14 @@ func TestBudgetGrow(t *testing.T) {
 // token was being granted passes the token on instead of leaking it.
 func TestAcquireCancelled(t *testing.T) {
 	b := NewBudget(1)
-	l, err := b.Acquire(context.Background())
+	l, err := b.acquireLease(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := b.Acquire(ctx)
+		_, err := b.acquireLease(ctx)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let the goroutine enqueue
@@ -276,13 +281,13 @@ func TestAcquireCancelled(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
-	l.Release()
+	l.release()
 	// The budget must still have its token available.
-	l2, err := b.Acquire(context.Background())
+	l2, err := b.acquireLease(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2.Release()
+	l2.release()
 	if u := b.Used(); u != 0 {
 		t.Fatalf("used = %d, want 0", u)
 	}
@@ -291,37 +296,19 @@ func TestAcquireCancelled(t *testing.T) {
 // TestLeaseReleaseIdempotent: double-release and nil lease are no-ops.
 func TestLeaseReleaseIdempotent(t *testing.T) {
 	b := NewBudget(2)
-	l, err := b.Acquire(context.Background())
+	l, err := b.acquireLease(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Release()
-	l.Release()
+	l.release()
+	l.release()
 	if u := b.Used(); u != 0 {
 		t.Fatalf("used = %d after double release", u)
 	}
-	var nilLease *Lease
-	nilLease.Release()
-	if err := nilLease.Reacquire(context.Background()); err != nil {
+	var nilLease *lease
+	nilLease.release()
+	if err := nilLease.reacquire(context.Background()); err != nil {
 		t.Fatalf("nil Reacquire: %v", err)
-	}
-}
-
-// TestCellSeed: deterministic and decorrelated across neighbors.
-func TestCellSeed(t *testing.T) {
-	seen := map[uint64]bool{}
-	for i := 0; i < 1000; i++ {
-		s := CellSeed(7, i)
-		if s != CellSeed(7, i) {
-			t.Fatal("CellSeed not deterministic")
-		}
-		if seen[s] {
-			t.Fatalf("CellSeed collision at i=%d", i)
-		}
-		seen[s] = true
-	}
-	if CellSeed(7, 0) == CellSeed(8, 0) {
-		t.Fatal("CellSeed ignores base seed")
 	}
 }
 

@@ -27,9 +27,9 @@
 //     is a nil check per call site — no branches on a config struct,
 //     no interface dispatch.
 //
-// Scopes come from a Registry. The package Default registry backs the
-// CLI; the runner gives each Run call its own registry so concurrent
-// runs do not mix, and Off disables collection entirely.
+// Scopes come from a Registry. The runner gives each Run call its own
+// registry so concurrent runs do not mix, and Off disables collection
+// entirely.
 package telemetry
 
 import (
@@ -50,9 +50,6 @@ type Registry struct {
 
 // NewRegistry returns an empty, collecting registry.
 func NewRegistry() *Registry { return &Registry{} }
-
-// Default is the process-wide registry the CLI exports from.
-var Default = NewRegistry()
 
 // Off is a registry that collects nothing: its scopes are nil and
 // every metric operation through them is a no-op. Pass it where a
@@ -81,21 +78,6 @@ func (r *Registry) Scope(name string) *Scope {
 		r.scopes[name] = s
 	}
 	return s
-}
-
-// ScopeNames returns the registered scope names, sorted.
-func (r *Registry) ScopeNames() []string {
-	if r == nil || r.off {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.scopes))
-	for n := range r.scopes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Scope is one named group of metrics — in this repository, one scope

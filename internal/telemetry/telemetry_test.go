@@ -135,9 +135,6 @@ func TestSnapshotJSON(t *testing.T) {
 	if round.Scopes["runner"].Counters["attempts"] != 1 {
 		t.Fatal("round-trip lost the runner scope")
 	}
-	if got := reg.ScopeNames(); len(got) != 2 || got[0] != "fig12" || got[1] != "runner" {
-		t.Fatalf("scope names = %v", got)
-	}
 }
 
 func TestHistAccum(t *testing.T) {
