@@ -41,11 +41,13 @@ type Server struct {
 	// Failed marks servers lost to an infrastructure failure.
 	Failed bool
 
-	// vms holds the placed VMs sorted by ascending ID. A sorted slice
-	// instead of a map keeps iteration order deterministic without a
-	// per-read sort-and-copy, which is what lets fleet control loops
-	// walk allocations allocation-free.
-	vms       []*vm.VM
+	// vms holds the placed VMs sorted by ascending ID, each ID inline
+	// beside its VM so the binary searches that insert and find
+	// entries never dereference a VM. A sorted slice instead of a map
+	// keeps iteration order deterministic without a per-read
+	// sort-and-copy, which is what lets fleet control loops walk
+	// allocations allocation-free.
+	vms       []vmRef
 	vcoresUse int
 	memUse    float64
 	// expDemand is the expected concurrent core demand
@@ -53,6 +55,12 @@ type Server struct {
 	// on placement changes so control planes read it as a field
 	// instead of re-summing the allocation list every step.
 	expDemand float64
+}
+
+// vmRef is one entry of a server's VM list.
+type vmRef struct {
+	id int
+	v  *vm.VM
 }
 
 // VCoresUsed returns allocated vcores.
@@ -77,30 +85,46 @@ func (s *Server) ExpectedDemand() float64 { return s.expDemand }
 // order.
 func (s *Server) VMsList() []*vm.VM {
 	out := make([]*vm.VM, len(s.vms))
-	copy(out, s.vms)
+	for i, r := range s.vms {
+		out[i] = r.v
+	}
 	return out
+}
+
+// search returns the first position in s.vms whose ID is ≥ id.
+func (s *Server) search(id int) int {
+	lo, hi := 0, len(s.vms)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.vms[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // attach inserts v keeping s.vms sorted by ID and updates the
 // incremental resource accounting.
 func (s *Server) attach(v *vm.VM) {
-	i := sort.Search(len(s.vms), func(i int) bool { return s.vms[i].ID >= v.ID })
-	s.vms = append(s.vms, nil)
+	i := s.search(v.ID)
+	s.vms = append(s.vms, vmRef{})
 	copy(s.vms[i+1:], s.vms[i:])
-	s.vms[i] = v
+	s.vms[i] = vmRef{id: v.ID, v: v}
 	s.vcoresUse += v.Type.VCores
 	s.memUse += v.Type.MemoryGB
 	s.expDemand += float64(v.Type.VCores) * v.AvgUtil
 }
 
-// detach removes v (present by contract) and updates the incremental
+// detach removes the VM at position i and updates the incremental
 // accounting. A fully drained server resets its expected demand to an
 // exact zero so floating-point residue cannot accumulate across
 // place/remove cycles.
-func (s *Server) detach(v *vm.VM) {
-	i := sort.Search(len(s.vms), func(i int) bool { return s.vms[i].ID >= v.ID })
+func (s *Server) detach(i int) {
+	v := s.vms[i].v
 	copy(s.vms[i:], s.vms[i+1:])
-	s.vms[len(s.vms)-1] = nil
+	s.vms[len(s.vms)-1] = vmRef{}
 	s.vms = s.vms[:len(s.vms)-1]
 	s.vcoresUse -= v.Type.VCores
 	s.memUse -= v.Type.MemoryGB
@@ -128,7 +152,6 @@ type Cluster struct {
 	Spec    ServerSpec
 	Policy  Policy
 	servers []*Server
-	placed  map[int]*Server // VM ID → server
 	// idx is the best-fit placement index: non-reserved live servers
 	// bucketed by remaining vcore headroom. Maintained by every
 	// mutation path (place/remove/fail/migrate/policy change).
@@ -150,7 +173,7 @@ type Cluster struct {
 // New builds a cluster of n servers, reserving the policy's buffer
 // fraction as failover capacity.
 func New(spec ServerSpec, policy Policy, n int) *Cluster {
-	c := &Cluster{Spec: spec, Policy: policy, placed: make(map[int]*Server)}
+	c := &Cluster{Spec: spec, Policy: policy}
 	reserve := int(float64(n) * policy.BufferFraction)
 	for i := 0; i < n; i++ {
 		s := &Server{ID: i, Spec: spec}
@@ -290,7 +313,7 @@ func (c *Cluster) place(v *vm.VM, useReserved bool) (*Server, error) {
 	}
 	oldR := c.headroom(best)
 	best.attach(v)
-	c.placed[v.ID] = best
+	v.Host = best.ID + 1
 	c.placedCount++
 	c.vcoresAlloc += v.Type.VCores
 	c.track.Mark(best.ID)
@@ -338,21 +361,41 @@ func (c *Cluster) placeIndexed(v *vm.VM) *Server {
 	return best
 }
 
-// Host returns the server currently hosting VM id, if it is placed.
-func (c *Cluster) Host(id int) (*Server, bool) {
-	s, ok := c.placed[id]
-	return s, ok
+// locate returns the server hosting v and v's position in its list.
+// It reads the host record v carries and trusts it only when that
+// server's list holds this very VM, so a VM removed, displaced, or
+// placed by another cluster is not found.
+func (c *Cluster) locate(v *vm.VM) (*Server, int) {
+	h := v.Host - 1
+	if h < 0 || h >= len(c.servers) {
+		return nil, -1
+	}
+	s := c.servers[h]
+	for i := s.search(v.ID); i < len(s.vms) && s.vms[i].id == v.ID; i++ {
+		if s.vms[i].v == v {
+			return s, i
+		}
+	}
+	return nil, -1
 }
 
-// Remove releases a VM's resources.
+// Host returns the server currently hosting v, if v is placed in this
+// cluster.
+func (c *Cluster) Host(v *vm.VM) (*Server, bool) {
+	s, _ := c.locate(v)
+	return s, s != nil
+}
+
+// Remove releases a VM's resources. A VM not placed in this cluster is
+// an error and changes nothing.
 func (c *Cluster) Remove(v *vm.VM) error {
-	s, ok := c.placed[v.ID]
-	if !ok {
+	s, i := c.locate(v)
+	if s == nil {
 		return errors.New("cluster: VM not placed")
 	}
 	oldR := c.headroom(s)
-	s.detach(v)
-	delete(c.placed, v.ID)
+	s.detach(i)
+	v.Host = 0
 	c.placedCount--
 	c.vcoresAlloc -= v.Type.VCores
 	c.track.Mark(s.ID)
@@ -434,12 +477,10 @@ func (c *Cluster) FailServers(n int) []*vm.VM {
 		c.vcoresAlloc -= s.vcoresUse
 		c.pcoresLive -= s.Spec.PCores
 		c.track.Mark(s.ID)
-		for _, v := range s.vms {
-			displaced = append(displaced, v)
-			delete(c.placed, v.ID)
-		}
-		for i := range s.vms {
-			s.vms[i] = nil
+		for i, r := range s.vms {
+			r.v.Host = 0
+			displaced = append(displaced, r.v)
+			s.vms[i] = vmRef{}
 		}
 		s.vms = s.vms[:0]
 		s.vcoresUse = 0
@@ -474,8 +515,8 @@ func (c *Cluster) PackTrace(trace []*vm.VM) (peakDensity float64, rejected int) 
 			if d := c.Stats().Density; d > peakDensity {
 				peakDensity = d
 			}
-		} else if _, placed := c.placed[ev.VM.ID]; placed {
-			_ = c.Remove(ev.VM)
+		} else {
+			_ = c.Remove(ev.VM) // rejected at arrival → not placed
 		}
 	}
 	return peakDensity, rejected
@@ -556,19 +597,24 @@ func (c *Cluster) findHeadroom(src *Server, v *vm.VM) *Server {
 	return best
 }
 
-// ApplyMigrations executes a plan, returning how many moves succeeded
-// (a destination may have filled since planning).
+// ApplyMigrations executes a plan, returning how many moves succeeded.
+// A plan can go stale between planning and applying: a move is skipped
+// unless its VM is still hosted on m.From (it may have departed, been
+// displaced by a failure or moved since) and m.To is live with room
+// for it (it may have failed or filled).
 func (c *Cluster) ApplyMigrations(plan []Migration) int {
 	done := 0
 	for _, m := range plan {
-		if m.To.vcoresUse+m.VM.Type.VCores > m.To.Spec.PCores ||
+		from, i := c.locate(m.VM)
+		if from != m.From || m.To.Failed ||
+			m.To.vcoresUse+m.VM.Type.VCores > m.To.Spec.PCores ||
 			m.To.memUse+m.VM.Type.MemoryGB > m.To.Spec.MemoryGB {
 			continue
 		}
 		fromR, toR := c.headroom(m.From), c.headroom(m.To)
-		m.From.detach(m.VM)
+		m.From.detach(i)
 		m.To.attach(m.VM)
-		c.placed[m.VM.ID] = m.To
+		m.VM.Host = m.To.ID + 1
 		// Both endpoints are live, so the packing KPIs are unchanged;
 		// only the export rows move.
 		c.track.Mark(m.From.ID)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -367,5 +368,104 @@ func TestPlanMigrationsIdempotentReservations(t *testing.T) {
 	_ = c.PlanMigrations(10) // plan only, never applied
 	if got := c.Stats().VCoresAllocated; got != before {
 		t.Fatalf("planning leaked reservations: %d vs %d", got, before)
+	}
+}
+
+// TestApplyMigrationsSkipsStalePlan applies a plan whose first VM
+// departed after planning. The stale move must be skipped: applying it
+// used to detach whichever VM sat at the departed one's list position
+// and re-place the departed VM on the destination.
+func TestApplyMigrationsSkipsStalePlan(t *testing.T) {
+	c := New(TwoSocketBlade, Policy{CPUOversubRatio: 0.25}, 3)
+	v1, v2, v3 := mkVM(1, 48, 96), mkVM(2, 4, 16), mkVM(3, 8, 32)
+	for _, v := range []*vm.VM{v1, v2, v3} {
+		if s, err := c.Place(v); err != nil || s.ID != 0 {
+			t.Fatalf("setup: VM %d on %v (%v), want server 0", v.ID, s, err)
+		}
+	}
+	plan := c.PlanMigrations(4)
+	if len(plan) != 2 || plan[0].VM != v2 || plan[1].VM != v3 {
+		t.Fatalf("setup: plan %+v, want VM 2 then VM 3 off server 0", plan)
+	}
+	if err := c.Remove(v2); err != nil {
+		t.Fatal(err)
+	}
+	if moved := c.ApplyMigrations(plan[:1]); moved != 0 {
+		t.Errorf("applied %d moves of a departed VM", moved)
+	}
+	checkLists := func(want map[int][]int) {
+		t.Helper()
+		for _, s := range c.Servers() {
+			var ids []int
+			for _, v := range s.VMsList() {
+				ids = append(ids, v.ID)
+			}
+			if fmt.Sprint(ids) != fmt.Sprint(want[s.ID]) {
+				t.Errorf("server %d lists VMs %v, want %v", s.ID, ids, want[s.ID])
+			}
+			vcores := 0
+			for _, v := range s.VMsList() {
+				vcores += v.Type.VCores
+			}
+			if s.VCoresUsed() != vcores {
+				t.Errorf("server %d reports %d vcores, its list holds %d", s.ID, s.VCoresUsed(), vcores)
+			}
+			if got, want := s.ExpectedDemand(), naiveDemand(s); math.Abs(got-want) > 1e-9 {
+				t.Errorf("server %d expected demand %v, recomputed %v", s.ID, got, want)
+			}
+		}
+	}
+	checkLists(map[int][]int{0: {1, 3}})
+	if t.Failed() {
+		t.FailNow()
+	}
+	// The rest of the plan is still current and applies.
+	if moved := c.ApplyMigrations(plan[1:]); moved != 1 {
+		t.Fatalf("applied %d of the one current move", moved)
+	}
+	checkLists(map[int][]int{0: {1}, 1: {3}})
+	// Applied again, the plan is stale throughout: VM 3 now sits on
+	// its destination, not on m.From.
+	if moved := c.ApplyMigrations(plan); moved != 0 {
+		t.Errorf("re-applied plan moved %d VMs", moved)
+	}
+	checkLists(map[int][]int{0: {1}, 1: {3}})
+}
+
+// TestApplyMigrationsSkipsFailedDestination fails a plan's destination
+// between planning and applying. A failed server reads as empty, so
+// the capacity check alone would attach the VM to it.
+func TestApplyMigrationsSkipsFailedDestination(t *testing.T) {
+	c := New(TwoSocketBlade, Policy{CPUOversubRatio: 0.25}, 3)
+	// Server 0: 48+12 = 60 vcores in 13 VMs, oversubscribed. Server 1:
+	// 14 one-vcore VMs, so it is the more loaded by count and fails
+	// first, yet the best-fit destination for a move off server 0.
+	vms := []*vm.VM{mkVM(1, 48, 96)}
+	for id := 2; id <= 27; id++ {
+		vms = append(vms, mkVM(id, 1, 4))
+	}
+	for _, v := range vms {
+		if _, err := c.Place(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := c.PlanMigrations(1)
+	if len(plan) != 1 || plan[0].From.ID != 0 || plan[0].To.ID != 1 {
+		t.Fatalf("setup: plan %+v, want one move from server 0 to 1", plan)
+	}
+	if out := c.FailServers(1); len(out) != 14 || !c.Servers()[1].Failed {
+		t.Fatalf("setup: failure displaced %d VMs, want server 1's 14", len(out))
+	}
+	if moved := c.ApplyMigrations(plan); moved != 0 {
+		t.Errorf("applied %d moves onto a failed server", moved)
+	}
+	if h, ok := c.Host(plan[0].VM); !ok || h.ID != 0 {
+		t.Errorf("planned VM hosted on %v (%v), want server 0", h, ok)
+	}
+	if n := c.Servers()[1].VMs(); n != 0 {
+		t.Errorf("failed server 1 holds %d VMs", n)
+	}
+	if st := c.Stats(); st.PlacedVMs != 13 || c.PlacedVMs() != 13 {
+		t.Errorf("placed VMs: Stats %d, incremental %d, want 13", st.PlacedVMs, c.PlacedVMs())
 	}
 }

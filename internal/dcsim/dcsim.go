@@ -63,7 +63,8 @@ type Config struct {
 	// Events, when non-nil, replaces the trace generated from Trace —
 	// a prebuilt arrival/departure stream (vm.Events order), or an
 	// empty non-nil slice for an open-loop run driven entirely through
-	// Sim.Place/Remove (the daemon path).
+	// Sim.Place/Remove (the daemon path). A placed VM records its host,
+	// so one stream must not drive two live Sims at once.
 	Events []vm.Event
 	// StepS is the control-loop period in trace seconds.
 	StepS float64

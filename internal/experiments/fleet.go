@@ -18,15 +18,16 @@ type packOutcome struct {
 	atRisk int
 }
 
-// packFleets replays the same generated trace through independent
-// fleets, fanning the replays out through sweep.Map under o.Workers.
-// The VM slice is shared read-only: PackTrace mutates only its own
-// cluster's placement state.
-func packFleets(ctx context.Context, o Options, vms []*vm.VM, mk func(i int) *cluster.Cluster) ([]packOutcome, error) {
+// packFleets replays the same trace through independent fleets,
+// fanning the replays out through sweep.Map under o.Workers. Each
+// fleet replays its own generated copy of the trace: a placed VM
+// carries its host record, so one VM object must not sit in two live
+// clusters.
+func packFleets(ctx context.Context, o Options, trace vm.TraceConfig, mk func(i int) *cluster.Cluster) ([]packOutcome, error) {
 	return sweep.Map(ctx, 2, sweep.Options{Workers: o.Workers, Tel: o.Tel},
 		func(ctx context.Context, i int) (packOutcome, error) {
 			c := mk(i)
-			peak, rej := c.PackTrace(vms)
+			peak, rej := c.PackTrace(vm.Generate(trace))
 			return packOutcome{peak: peak, rej: rej, atRisk: c.InterferenceRisk()}, nil
 		})
 }
@@ -45,11 +46,10 @@ type PackingResult struct {
 // an air-cooled fleet (1:1 vcore:pcore) and a 2PIC fleet allowed 20%
 // CPU oversubscription backed by overclocking (§V "Dense VM packing").
 // The two fleet replays fan out through sweep.Map under o.Workers;
-// both replay the same generated trace, so the result is
+// both replay the same seeded trace, so the result is
 // worker-count-independent.
 func PackingDataCtx(ctx context.Context, o Options, servers int, trace vm.TraceConfig, oversub float64) (PackingResult, error) {
-	vms := vm.Generate(trace)
-	outs, err := packFleets(ctx, o, vms, func(i int) *cluster.Cluster {
+	outs, err := packFleets(ctx, o, trace, func(i int) *cluster.Cluster {
 		if i == 0 {
 			return cluster.New(cluster.AirBlade, cluster.Policy{}, servers)
 		}
@@ -111,18 +111,20 @@ type BufferResult struct {
 // BuffersData fills two equal fleets to the same demand, fails
 // `failures` servers in each, and recovers the displaced VMs: the
 // static fleet onto its reserved buffer servers, the virtual fleet
-// onto surviving servers via oversubscription + overclocking.
+// onto surviving servers via oversubscription + overclocking. Each
+// fleet fills from its own generated copy of the trace, since a placed
+// VM carries its host record.
 func BuffersData(servers, failures int, bufferFraction float64, trace vm.TraceConfig) BufferResult {
-	vms := vm.Generate(trace)
-
 	staticC := cluster.New(cluster.TwoSocketBlade, cluster.Policy{BufferFraction: bufferFraction}, servers)
 	// The virtual-buffer fleet runs 1:1 during normal operation and
 	// keeps the overclocking headroom in reserve for failover.
 	virtualC := cluster.New(cluster.TwoSocketBlade, cluster.Policy{}, servers)
 
-	for _, v := range vms {
-		// Steady-state fill: place every VM that fits, no departures.
-		staticC.Place(v)  //nolint:errcheck — rejection is the signal
+	// Steady-state fill: place every VM that fits, no departures.
+	for _, v := range vm.Generate(trace) {
+		staticC.Place(v) //nolint:errcheck — rejection is the signal
+	}
+	for _, v := range vm.Generate(trace) {
 		virtualC.Place(v) //nolint:errcheck
 	}
 	stStatic := staticC.Stats()
@@ -203,7 +205,7 @@ func CapacityCrisisDataCtx(ctx context.Context, o Options, servers int, trace vm
 	}
 
 	res := CapacityCrisisResult{DemandVCores: peak, SupplyPCores: servers * cluster.TwoSocketBlade.PCores}
-	outs, err := packFleets(ctx, o, vms, func(i int) *cluster.Cluster {
+	outs, err := packFleets(ctx, o, trace, func(i int) *cluster.Cluster {
 		if i == 0 {
 			return cluster.New(cluster.TwoSocketBlade, cluster.Policy{}, servers)
 		}

@@ -213,6 +213,41 @@ func TestCapacityCrisisMitigation(t *testing.T) {
 	}
 }
 
+// TestPackingWorkersEquivalent requires the packing and capacity-crisis
+// experiments to give the same result whether their two fleets replay
+// one after the other (Workers 1) or at once (Workers 2). A placed VM
+// carries its host record, so fleets that shared VM objects would
+// differ here and race under -race.
+func TestPackingWorkersEquivalent(t *testing.T) {
+	pack := vm.DefaultTrace
+	pack.ArrivalRatePerS = 0.012
+	crisis := vm.DefaultTrace
+	crisis.Seed = 99
+	crisis.ArrivalRatePerS = 0.012
+	crisis.DurationS = 2 * 24 * 3600
+	crisis.MeanLifetimeS = 24 * 3600
+	var packs []PackingResult
+	var crises []CapacityCrisisResult
+	for _, w := range []int{1, 2} {
+		o := Options{Workers: w}
+		p, err := PackingDataCtx(context.Background(), o, 24, pack, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := CapacityCrisisDataCtx(context.Background(), o, 16, crisis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packs, crises = append(packs, p), append(crises, c)
+	}
+	if packs[0] != packs[1] {
+		t.Errorf("packing: Workers 1 %+v, Workers 2 %+v", packs[0], packs[1])
+	}
+	if crises[0] != crises[1] {
+		t.Errorf("capacity crisis: Workers 1 %+v, Workers 2 %+v", crises[0], crises[1])
+	}
+}
+
 func TestFig15AndTableXIRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("auto-scaler renders in -short mode")

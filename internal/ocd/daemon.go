@@ -350,7 +350,7 @@ func (d *Daemon) remove(req api.RemoveRequest) (api.RemoveResponse, error) {
 	if !ok {
 		return api.RemoveResponse{Vers: api.Version, Removed: false}, nil
 	}
-	host, hosted := d.sim.Cluster().Host(v.ID)
+	host, hosted := d.sim.Cluster().Host(v)
 	d.sim.Remove(v)
 	if hosted {
 		// Fold the departure's power delta now, as place does for

@@ -9,9 +9,10 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"immersionoc/internal/rng"
 )
@@ -75,6 +76,13 @@ type VM struct {
 	AvgUtil float64
 	// ScalableFraction is the workload's ΔPperf/ΔAperf.
 	ScalableFraction float64
+	// Host is the placement record a cluster keeps on the VM: the
+	// hosting server's fleet index plus one, so the zero value means
+	// unplaced. The cluster trusts it only once it finds this very VM
+	// in the named server's list, so a stale record, or one another
+	// cluster wrote, reads as "not placed". A VM therefore sits in at
+	// most one live cluster at a time.
+	Host int
 }
 
 // EndS returns the VM's departure time.
@@ -198,25 +206,62 @@ type Event struct {
 }
 
 // Events expands a trace into a time-ordered arrival/departure stream.
+// The order is total: time, then departures before arrivals (free
+// capacity before consuming it), then VM ID.
+//
+// Only the departures need sorting: they are sorted in the back half of
+// the result, and the arrivals, which a generated trace already lists
+// in (time, ID) order, are merged in front of them in place. The merge
+// writes position i+j after taking i arrivals and j departures, never
+// past the next unread departure at n+j. A caller trace out of that
+// order is sorted first, on a copy.
 func Events(trace []*VM) []Event {
-	evs := make([]Event, 0, 2*len(trace))
-	for _, v := range trace {
-		evs = append(evs, Event{TimeS: v.ArrivalS, VM: v, Arrival: true})
-		evs = append(evs, Event{TimeS: v.EndS(), VM: v, Arrival: false})
+	n := len(trace)
+	evs := make([]Event, 2*n)
+	dep := evs[n:]
+	sorted := true
+	for i, v := range trace {
+		dep[i] = Event{TimeS: v.EndS(), VM: v}
+		if i > 0 && byArrival(trace[i-1], v) > 0 {
+			sorted = false
+		}
 	}
-	// Total order: time, then departures before arrivals (free
-	// capacity before consuming it), then VM ID.
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.TimeS != b.TimeS {
-			return a.TimeS < b.TimeS
+	slices.SortFunc(dep, func(a, b Event) int {
+		switch {
+		case a.TimeS < b.TimeS:
+			return -1
+		case a.TimeS > b.TimeS:
+			return 1
 		}
-		if a.Arrival != b.Arrival {
-			return !a.Arrival
-		}
-		return a.VM.ID < b.VM.ID
+		return cmp.Compare(a.VM.ID, b.VM.ID)
 	})
+	if !sorted {
+		trace = slices.Clone(trace)
+		slices.SortFunc(trace, byArrival)
+	}
+	i, j := 0, 0
+	for i < n {
+		a := trace[i]
+		if j < n && dep[j].TimeS <= a.ArrivalS {
+			evs[i+j] = dep[j]
+			j++
+			continue
+		}
+		evs[i+j] = Event{TimeS: a.ArrivalS, VM: a, Arrival: true}
+		i++
+	}
 	return evs
+}
+
+// byArrival orders VMs by arrival time, then ID.
+func byArrival(a, b *VM) int {
+	switch {
+	case a.ArrivalS < b.ArrivalS:
+		return -1
+	case a.ArrivalS > b.ArrivalS:
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // CreationLatencyS is the time to deploy a new VM, emulating the

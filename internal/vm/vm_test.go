@@ -1,7 +1,11 @@
 package vm
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -78,33 +82,99 @@ func TestTraceShape(t *testing.T) {
 	}
 }
 
+// eventsOracle is the reference stream: every event appended in trace
+// order, then sorted with the (time, departures first, VM ID)
+// comparator that Events' merge replaced.
+func eventsOracle(trace []*VM) []Event {
+	evs := make([]Event, 0, 2*len(trace))
+	for _, v := range trace {
+		evs = append(evs, Event{TimeS: v.ArrivalS, VM: v, Arrival: true})
+		evs = append(evs, Event{TimeS: v.EndS(), VM: v, Arrival: false})
+	}
+	sort.Slice(evs, func(i, j int) bool {
+		a, b := evs[i], evs[j]
+		if a.TimeS != b.TimeS {
+			return a.TimeS < b.TimeS
+		}
+		if a.Arrival != b.Arrival {
+			return !a.Arrival
+		}
+		return a.VM.ID < b.VM.ID
+	})
+	return evs
+}
+
+// tieTrace is hand-built, in arrival order, to hit every tie of the
+// total order: equal arrival times, one VM departing exactly when
+// another arrives, a zero lifetime, and equal departure times with IDs
+// out of trace order.
+func tieTrace() []*VM {
+	return []*VM{
+		{ID: 1, ArrivalS: 0, LifetimeS: 10},
+		{ID: 2, ArrivalS: 0, LifetimeS: 30},
+		{ID: 3, ArrivalS: 5, LifetimeS: 0},
+		{ID: 6, ArrivalS: 5, LifetimeS: 25},
+		{ID: 4, ArrivalS: 10, LifetimeS: 5},
+		{ID: 5, ArrivalS: 10, LifetimeS: 20},
+		{ID: 7, ArrivalS: 15, LifetimeS: 0},
+		{ID: 8, ArrivalS: 30, LifetimeS: 1},
+	}
+}
+
+func reversed(trace []*VM) []*VM {
+	out := slices.Clone(trace)
+	slices.Reverse(out)
+	return out
+}
+
+// eventInputs are the traces Events is checked on: a generated trace,
+// the tie trace, the reverse of each (out of arrival order, so Events
+// sorts it first), and the empty trace.
+func eventInputs() map[string][]*VM {
+	gen := Generate(DefaultTrace)
+	return map[string][]*VM{
+		"generated":     gen,
+		"reversed":      reversed(gen),
+		"ties":          tieTrace(),
+		"ties-reversed": reversed(tieTrace()),
+		"empty":         nil,
+	}
+}
+
+// TestEventsOrderedAndPaired checks each input's stream against the
+// oracle, element for element, and that every VM arrives once and
+// departs once.
 func TestEventsOrderedAndPaired(t *testing.T) {
-	trace := Generate(DefaultTrace)
-	evs := Events(trace)
-	if len(evs) != 2*len(trace) {
-		t.Fatalf("%d events for %d VMs", len(evs), len(trace))
-	}
-	live := make(map[int]bool)
-	prev := -1.0
-	for _, e := range evs {
-		if e.TimeS < prev {
-			t.Fatal("events out of time order")
+	for name, trace := range eventInputs() {
+		if inOrder := slices.IsSortedFunc(trace, byArrival); inOrder == strings.HasSuffix(name, "reversed") {
+			t.Fatalf("%s: in arrival order %v; the input misses the path it is for", name, inOrder)
 		}
-		prev = e.TimeS
-		if e.Arrival {
-			if live[e.VM.ID] {
-				t.Fatalf("VM %d arrived twice", e.VM.ID)
-			}
-			live[e.VM.ID] = true
-		} else {
-			if !live[e.VM.ID] {
-				t.Fatalf("VM %d departed before arriving", e.VM.ID)
-			}
-			delete(live, e.VM.ID)
+		before := slices.Clone(trace)
+		evs, want := Events(trace), eventsOracle(trace)
+		if len(evs) != 2*len(trace) || len(want) != len(evs) {
+			t.Fatalf("%s: %d events for %d VMs", name, len(evs), len(trace))
 		}
-	}
-	if len(live) != 0 {
-		t.Fatalf("%d VMs never departed", len(live))
+		for i := range want {
+			if evs[i] != want[i] {
+				t.Fatalf("%s: event %d is %+v (VM %d), oracle %+v (VM %d)", name, i, evs[i], evs[i].VM.ID, want[i], want[i].VM.ID)
+			}
+		}
+		if !slices.Equal(trace, before) {
+			t.Fatalf("%s: Events reordered the caller's trace", name)
+		}
+		arrivals, departures := map[*VM]int{}, map[*VM]int{}
+		for _, e := range evs {
+			if e.Arrival {
+				arrivals[e.VM]++
+			} else {
+				departures[e.VM]++
+			}
+		}
+		for _, v := range trace {
+			if arrivals[v] != 1 || departures[v] != 1 {
+				t.Fatalf("%s: VM %d has %d arrivals and %d departures", name, v.ID, arrivals[v], departures[v])
+			}
+		}
 	}
 }
 
@@ -118,6 +188,25 @@ func TestEventsDepartureBeforeArrivalOnTie(t *testing.T) {
 	}
 	if !evs[2].Arrival || evs[2].VM.ID != 2 {
 		t.Fatalf("tie order: %+v", evs[2])
+	}
+	// The tie trace at t=10: the departure (VM 1) before the arrivals
+	// (4, 5); at t=30 the departures in ID order (2, 5, 6, though 6
+	// is listed first) before VM 8 arrives.
+	var at10, at30 []string
+	for _, e := range Events(tieTrace()) {
+		tag := fmt.Sprintf("%s%d", map[bool]string{true: "+", false: "-"}[e.Arrival], e.VM.ID)
+		switch e.TimeS {
+		case 10:
+			at10 = append(at10, tag)
+		case 30:
+			at30 = append(at30, tag)
+		}
+	}
+	if got := fmt.Sprint(at10); got != "[-1 +4 +5]" {
+		t.Fatalf("t=10 order %s", got)
+	}
+	if got := fmt.Sprint(at30); got != "[-2 -5 -6 +8]" {
+		t.Fatalf("t=30 order %s", got)
 	}
 }
 
